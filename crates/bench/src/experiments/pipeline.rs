@@ -19,18 +19,19 @@
 //!   ([`AccessConfig::with_encode`]) records the same contrast at the
 //!   paper's scale.
 //! * **Concurrent client-write sweep** — 1/2/4/8 writer threads
-//!   overwriting disjoint files through one system over a sharded delayed
-//!   backend: per-disk shard locks let the disk sleeps overlap, so
-//!   aggregate throughput scales with the writer count. A group-commit
+//!   overwriting disjoint files through one stepped system (each writer
+//!   services ring dispatches itself) over a sharded delayed backend:
+//!   per-disk shard locks let the disk sleeps overlap, so aggregate
+//!   throughput scales with the writer count. A group-commit
 //!   on/off A/B at a fixed writer count shows the dispatch-amortisation
 //!   win. The committed state (layouts, generation parity, per-disk
 //!   usage, read-back digests) is asserted byte-identical at every
 //!   writer count and batch size.
 //! * **I/O-ring read fan-out** — one client thread holding 8 read
-//!   accesses in flight through `Client::read_many` over the async
-//!   per-disk ring (`SystemConfig::io_ring`), against the blocking
-//!   one-block-at-a-time oracle on a backend with real per-block read
-//!   latency. A cancellation A/B records backend block reads actually
+//!   accesses in flight through `Client::read_many` over the threaded
+//!   per-disk ring, against the stepped executor (`System::stepped`),
+//!   which serves one block at a time on the client thread, on a backend
+//!   with real per-block read latency. A cancellation A/B records backend block reads actually
 //!   serviced vs blocks stored: once a file decodes, its still-queued
 //!   speculative reads are revoked before they cost disk time.
 //! * **Trial fan-out** — [`run_trials_threaded`]'s per-trial simulation
@@ -47,14 +48,14 @@ use std::time::{Duration, Instant};
 
 use robustore_core::{
     default_encode_threads, default_group_commit, default_pipeline_depth, AccessMode, Client,
-    DiskShard, InMemoryBackend, QosOptions, RefusedWrite, StorageBackend, StoreError, System,
-    SystemConfig,
+    InMemoryBackend, QosOptions, System, SystemConfig,
 };
 use robustore_erasure::{LtCode, LtParams};
 use robustore_schemes::{run_trials_threaded, AccessConfig, AccessKind, SchemeKind};
 use robustore_simkit::report::Table;
 use robustore_simkit::SeedSequence;
 
+use crate::delay::DelayBackend;
 use crate::MASTER_SEED;
 
 struct Row {
@@ -181,10 +182,15 @@ pub fn bench_pipeline(trials: u64) -> String {
     // kernels) so host-speed drift cannot bias one configuration.
     for rep in 0..reps {
         for (slot, &depth) in depths.iter().enumerate() {
-            let sys = System::with_backend(
+            // Stepped executor: with ring workers the disk writes would
+            // overlap the encode even at depth 0, dissolving the barrier
+            // this stage exists to measure. Stage A5 benchmarks the
+            // threaded ring itself.
+            let sys = System::stepped(
                 Box::new(DelayBackend::new(
                     InMemoryBackend::new(speeds.clone()),
-                    delay,
+                    vec![Duration::ZERO; speeds.len()],
+                    Some(delay),
                 )),
                 SystemConfig {
                     block_bytes: 256 << 10,
@@ -194,11 +200,6 @@ pub fn bench_pipeline(trials: u64) -> String {
                     // measures encode/I-O overlap, so the disk latency
                     // must stay per write.
                     group_commit: 1,
-                    // Blocking dispatch: the ring's async flush would
-                    // overlap disk writes even at depth 0, dissolving
-                    // the barrier this stage exists to measure. Stage A5
-                    // benchmarks the ring itself.
-                    io_ring: false,
                     ..Default::default()
                 },
             );
@@ -290,7 +291,10 @@ pub fn bench_pipeline(trials: u64) -> String {
     // per-block disk sleeps overlap across writers, so aggregate
     // throughput scales with the writer count until the disks themselves
     // are busy — the per-disk-queue regime the sharded submission layer
-    // exists for. Layouts are pinned and the job order rotated per file,
+    // exists for. The stepped executor keeps each writer servicing its own
+    // dispatches, so this stage measures the per-disk shard locks and
+    // group commit in isolation (the threaded ring's own contrast is stage
+    // A5). Layouts are pinned and the job order rotated per file,
     // so the committed state is a pure function of the data: asserted
     // identical at every thread count and with group commit on or off.
     let sweep_files = 8usize;
@@ -304,22 +308,21 @@ pub fn bench_pipeline(trials: u64) -> String {
     // odd-parity ids, read-back digest).
     type SweepState = (Vec<u64>, Vec<(Vec<(usize, Vec<u32>)>, Vec<u32>, u64)>);
     let concurrent_sweep = |writers: usize, group_commit: usize| -> (f64, SweepState) {
-        let sys = System::with_backend(
-            Box::new(DelayBackend::new(InMemoryBackend::uniform(8, 50e6), delay)),
+        let sys = System::stepped(
+            Box::new(DelayBackend::new(
+                InMemoryBackend::uniform(8, 50e6),
+                vec![Duration::ZERO; 8],
+                Some(delay),
+            )),
             SystemConfig {
                 block_bytes: 16 << 10,
                 encode_threads: 1,
                 pipeline_depth: 4,
                 admission_capacity: 64,
                 group_commit,
-                // Blocking dispatch: this stage measures the per-disk
-                // shard locks and group commit in isolation; the ring's
-                // own contrast is stage A5.
-                io_ring: false,
                 ..Default::default()
             },
         );
-        assert!(sys.is_sharded(), "in-memory backend should shard");
         let qos = QosOptions::best_effort()
             .with_pinned_disks((0..8).collect())
             .with_redundancy(2.0);
@@ -447,9 +450,10 @@ pub fn bench_pipeline(trials: u64) -> String {
 
     // --- Stage A5: io-ring open-loop reads + speculative cancellation ---
     // One client thread holds 8 read accesses in flight over a backend
-    // with real per-block read latency. The blocking oracle serves them
-    // one block at a time; the ring fans the per-disk queues out to
-    // workers, so the disk sleeps overlap across accesses — and once a
+    // with real per-block read latency. The stepped executor serves them
+    // one block at a time on the client thread; the threaded ring fans the
+    // per-disk queues out to workers, so the disk sleeps overlap across
+    // accesses — and once a
     // file decodes, its still-queued reads are revoked before service,
     // which shows up as fewer backend block reads than blocks stored.
     let ring_files = 8usize;
@@ -461,24 +465,26 @@ pub fn bench_pipeline(trials: u64) -> String {
             .collect()
     };
     // Committed write state: per-disk usage plus each file's (layout,
-    // odd-parity ids) — the ring and blocking setups must agree before
+    // odd-parity ids) — the threaded and stepped setups must agree before
     // their reads are comparable.
     type RingState = (Vec<u64>, Vec<(Vec<(usize, Vec<u32>)>, Vec<u32>)>);
-    let ring_setup = |io_ring: bool| -> (System, Client, RingState) {
-        let sys = System::with_backend(
-            Box::new(DelayBackend::with_read_delay(
-                InMemoryBackend::uniform(8, 50e6),
-                read_delay,
-            )),
-            SystemConfig {
-                block_bytes: 16 << 10,
-                encode_threads: 1,
-                pipeline_depth: 4,
-                io_ring,
-                ..Default::default()
-            },
-        );
-        assert_eq!(sys.uses_io_ring(), io_ring);
+    let ring_setup = |stepped: bool| -> (System, Client, RingState) {
+        let backend = Box::new(DelayBackend::new(
+            InMemoryBackend::uniform(8, 50e6),
+            vec![read_delay; 8],
+            None,
+        ));
+        let config = SystemConfig {
+            block_bytes: 16 << 10,
+            encode_threads: 1,
+            pipeline_depth: 4,
+            ..Default::default()
+        };
+        let sys = if stepped {
+            System::stepped(backend, config)
+        } else {
+            System::with_backend(backend, config)
+        };
         let client = Client::connect(&sys, sys.register_user());
         // 3x redundancy so speculative cancellation has stored blocks
         // left to revoke once the decoder completes.
@@ -500,11 +506,11 @@ pub fn bench_pipeline(trials: u64) -> String {
         let used = (0..8).map(|d| sys.disk_used(d)).collect();
         (sys, client, (used, per_file))
     };
-    let (ring_sys, ring_client, ring_written) = ring_setup(true);
-    let (block_sys, block_client, block_written) = ring_setup(false);
+    let (ring_sys, ring_client, ring_written) = ring_setup(false);
+    let (step_sys, step_client, step_written) = ring_setup(true);
     assert_eq!(
-        ring_written, block_written,
-        "io-ring write path committed different state than blocking"
+        ring_written, step_written,
+        "threaded ring committed different state than the stepped executor"
     );
     let stored_total: usize = (0..ring_files)
         .map(|f| {
@@ -516,8 +522,8 @@ pub fn bench_pipeline(trials: u64) -> String {
         .sum();
     let names: Vec<String> = (0..ring_files).map(|f| format!("ring-{f}")).collect();
     let mut ring_rate = 0f64;
-    let mut block_rate = 0f64;
-    let mut serviced = [0u64; 2]; // rep-0 backend block reads: [ring, blocking]
+    let mut step_rate = 0f64;
+    let mut serviced = [0u64; 2]; // rep-0 backend block reads: [ring, stepped]
     for rep in 0..reps.min(3) {
         // Ring: one thread, every access in flight through read_many.
         let handles: Vec<_> = names
@@ -545,34 +551,30 @@ pub fn bench_pipeline(trials: u64) -> String {
         }
         ring_rate = ring_rate.max((ring_files * ring_bytes) as f64 / 1e6 / elapsed);
 
-        // Blocking oracle: the same accesses served one block at a time
+        // Stepped baseline: the same accesses served one block at a time
         // (decoded bytes verified outside the timed region).
-        let before = block_sys.backend_stats().0;
+        let before = step_sys.backend_stats().0;
         let t = Instant::now();
         let mut decoded = Vec::new();
         for n in &names {
-            let h = block_client
+            let h = step_client
                 .open(n, AccessMode::Read, QosOptions::best_effort())
                 .expect("open for read");
-            decoded.push(block_client.read(&h).expect("read"));
-            block_client.close(h).expect("close");
+            decoded.push(step_client.read(&h).expect("read"));
+            step_client.close(h).expect("close");
         }
         let elapsed = t.elapsed().as_secs_f64();
         if rep == 0 {
-            serviced[1] = block_sys.backend_stats().0 - before;
+            serviced[1] = step_sys.backend_stats().0 - before;
         }
         for (f, got) in decoded.into_iter().enumerate() {
-            assert_eq!(got, ring_payload(f), "blocking read corrupted ring-{f}");
+            assert_eq!(got, ring_payload(f), "stepped read corrupted ring-{f}");
         }
-        block_rate = block_rate.max((ring_files * ring_bytes) as f64 / 1e6 / elapsed);
+        step_rate = step_rate.max((ring_files * ring_bytes) as f64 / 1e6 / elapsed);
     }
     assert_eq!(ring_sys.pool_outstanding_bytes(), 0, "ring reads leaked");
-    assert_eq!(
-        block_sys.pool_outstanding_bytes(),
-        0,
-        "blocking reads leaked"
-    );
-    for (config, rate) in [("ring", ring_rate), ("blocking", block_rate)] {
+    assert_eq!(step_sys.pool_outstanding_bytes(), 0, "stepped reads leaked");
+    for (config, rate) in [("ring", ring_rate), ("stepped", step_rate)] {
         rows.push(Row {
             section: "io-ring",
             config: format!(
@@ -588,7 +590,7 @@ pub fn bench_pipeline(trials: u64) -> String {
     let reclaimed_ms = (stored_total as f64 - serviced[0] as f64) * read_delay.as_secs_f64() * 1e3;
     for (config, value, unit) in [
         ("serviced reads ring", serviced[0] as f64, "blocks"),
-        ("serviced reads blocking", serviced[1] as f64, "blocks"),
+        ("serviced reads stepped", serviced[1] as f64, "blocks"),
         ("blocks stored", stored_total as f64, "blocks"),
         ("disk time reclaimed", reclaimed_ms, "ms"),
     ] {
@@ -600,7 +602,7 @@ pub fn bench_pipeline(trials: u64) -> String {
             unit,
         });
     }
-    let ring_speedup = ring_rate / block_rate;
+    let ring_speedup = ring_rate / step_rate;
     if !quick {
         // The acceptance bar for the ring: with decoded output already
         // asserted byte-identical, fewer disk ops serviced than stored
@@ -713,7 +715,7 @@ pub fn bench_pipeline(trials: u64) -> String {
          the barrier\n  \
          sharded backend: concurrent client write {:.2}x from 1 to 8 writers, \
          group commit {:.2}x at 4 writers\n  \
-         io ring: open-loop read {:.2}x over blocking at {ring_files} accesses \
+         io ring: open-loop read {:.2}x over the stepped executor at {ring_files} accesses \
          on one thread; cancellation serviced {} of {} stored block reads \
          ({:.1}ms disk time reclaimed)\n\
          All stages are deterministic: thread count, pipeline depth, writer \
@@ -732,174 +734,6 @@ pub fn bench_pipeline(trials: u64) -> String {
         json_note
     ));
     out
-}
-
-/// An [`InMemoryBackend`] that sleeps on block writes and/or reads — a
-/// stand-in for real disk latency, so the encode/I-O overlap of the
-/// pipelined write path and the access fan-out of the I/O ring show up
-/// in wall-clock terms instead of vanishing into memcpy speed.
-struct DelayBackend {
-    inner: InMemoryBackend,
-    write_delay: Duration,
-    read_delay: Duration,
-}
-
-impl DelayBackend {
-    fn new(inner: InMemoryBackend, write_delay: Duration) -> Self {
-        DelayBackend {
-            inner,
-            write_delay,
-            read_delay: Duration::ZERO,
-        }
-    }
-
-    fn with_read_delay(inner: InMemoryBackend, read_delay: Duration) -> Self {
-        DelayBackend {
-            inner,
-            write_delay: Duration::ZERO,
-            read_delay,
-        }
-    }
-}
-
-/// Sleep helper that skips the syscall entirely at zero.
-fn maybe_sleep(d: Duration) {
-    if !d.is_zero() {
-        std::thread::sleep(d);
-    }
-}
-
-impl StorageBackend for DelayBackend {
-    fn num_disks(&self) -> usize {
-        self.inner.num_disks()
-    }
-
-    fn write_block(&mut self, disk: usize, block: u64, data: Vec<u8>) -> Result<(), RefusedWrite> {
-        maybe_sleep(self.write_delay);
-        self.inner.write_block(disk, block, data)
-    }
-
-    fn read_block(&self, disk: usize, block: u64) -> Result<Vec<u8>, StoreError> {
-        maybe_sleep(self.read_delay);
-        self.inner.read_block(disk, block)
-    }
-
-    fn read_block_into(
-        &self,
-        disk: usize,
-        block: u64,
-        buf: &mut Vec<u8>,
-    ) -> Result<(), StoreError> {
-        maybe_sleep(self.read_delay);
-        self.inner.read_block_into(disk, block, buf)
-    }
-
-    fn delete_block(&mut self, disk: usize, block: u64) -> Result<(), StoreError> {
-        self.inner.delete_block(disk, block)
-    }
-
-    fn disk_speed(&self, disk: usize) -> f64 {
-        self.inner.disk_speed(disk)
-    }
-
-    fn disk_used(&self, disk: usize) -> u64 {
-        self.inner.disk_used(disk)
-    }
-
-    fn count_read(&mut self) {
-        self.inner.count_read()
-    }
-
-    fn reads(&self) -> u64 {
-        self.inner.reads()
-    }
-
-    fn writes(&self) -> u64 {
-        self.inner.writes()
-    }
-
-    fn commit_batch(
-        &mut self,
-        disk: usize,
-        batch: Vec<(u64, Vec<u8>)>,
-    ) -> Vec<Result<(), RefusedWrite>> {
-        // One sleep per dispatch, same device model as the sharded path.
-        maybe_sleep(self.write_delay);
-        self.inner.commit_batch(disk, batch)
-    }
-
-    fn try_shard(&mut self) -> Option<Vec<Box<dyn DiskShard>>> {
-        let write_delay = self.write_delay;
-        let read_delay = self.read_delay;
-        self.inner.try_shard().map(|shards| {
-            shards
-                .into_iter()
-                .map(|inner| {
-                    Box::new(DelayShard {
-                        inner,
-                        write_delay,
-                        read_delay,
-                    }) as Box<dyn DiskShard>
-                })
-                .collect()
-        })
-    }
-}
-
-/// Per-disk shard of a [`DelayBackend`]: the block-write sleep moves into
-/// the shard (still under the shard lock, so one disk stays serial) and
-/// [`DiskShard::commit_batch`] sleeps **once per dispatch** before
-/// delegating — the queue-flush amortisation that gives group commit
-/// something real to win.
-struct DelayShard {
-    inner: Box<dyn DiskShard>,
-    write_delay: Duration,
-    read_delay: Duration,
-}
-
-impl DiskShard for DelayShard {
-    fn disk_id(&self) -> usize {
-        self.inner.disk_id()
-    }
-
-    fn write_block(&mut self, block: u64, data: Vec<u8>) -> Result<(), RefusedWrite> {
-        maybe_sleep(self.write_delay);
-        self.inner.write_block(block, data)
-    }
-
-    fn commit_batch(&mut self, batch: Vec<(u64, Vec<u8>)>) -> Vec<Result<(), RefusedWrite>> {
-        maybe_sleep(self.write_delay);
-        self.inner.commit_batch(batch)
-    }
-
-    fn read_block_into(&self, block: u64, buf: &mut Vec<u8>) -> Result<(), StoreError> {
-        maybe_sleep(self.read_delay);
-        self.inner.read_block_into(block, buf)
-    }
-
-    fn delete_block(&mut self, block: u64) -> Result<(), StoreError> {
-        self.inner.delete_block(block)
-    }
-
-    fn speed(&self) -> f64 {
-        self.inner.speed()
-    }
-
-    fn used(&self) -> u64 {
-        self.inner.used()
-    }
-
-    fn count_read(&mut self) {
-        self.inner.count_read()
-    }
-
-    fn reads(&self) -> u64 {
-        self.inner.reads()
-    }
-
-    fn writes(&self) -> u64 {
-        self.inner.writes()
-    }
 }
 
 /// Tiny FNV-1a digest — enough to compare decoded payloads across runs

@@ -40,14 +40,14 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use std::time::{Duration, Instant};
 
 use robustore_core::{
-    AccessMode, Client, DiskShard, InMemoryBackend, QosOptions, RefusedWrite, RepairService,
-    StorageBackend, StoreError, System, SystemConfig,
+    AccessMode, Client, InMemoryBackend, QosOptions, RepairService, System, SystemConfig,
 };
 use robustore_simkit::durability::{compare_at_overhead, lambda_from_decay};
 use robustore_simkit::report::Table;
 use robustore_simkit::rng::exponential;
 use robustore_simkit::{LogHistogram, SeedSequence};
 
+use crate::delay::DelayBackend;
 use crate::MASTER_SEED;
 
 const DISKS: usize = 8;
@@ -143,18 +143,17 @@ pub fn repair(trials: u64) -> String {
         let sys = System::with_backend(
             Box::new(DelayBackend::new(
                 InMemoryBackend::uniform(DISKS, 50e6),
-                read_delay,
+                vec![read_delay; DISKS],
+                None,
             )),
             SystemConfig {
                 block_bytes: block_bytes as u64,
                 encode_threads: 1,
                 pipeline_depth: 4,
-                io_ring: true,
                 read_repair: false, // the repair service is the only healer
                 ..Default::default()
             },
         );
-        assert!(sys.uses_io_ring());
         let client = Client::connect(&sys, sys.register_user());
         let qos = QosOptions::best_effort().with_redundancy(3.0);
         for f in 0..hot_files {
@@ -472,150 +471,4 @@ pub fn repair(trials: u64) -> String {
         rl_rate / 1e6,
     ));
     out
-}
-
-/// An [`InMemoryBackend`] whose block reads sleep a uniform per-disk
-/// amount, so disk time is a real contended resource and repair traffic
-/// queues against foreground reads. Presence probes skip the sleep —
-/// the risk survey is a metadata-speed scan.
-struct DelayBackend {
-    inner: InMemoryBackend,
-    read_delay: Duration,
-}
-
-impl DelayBackend {
-    fn new(inner: InMemoryBackend, read_delay: Duration) -> Self {
-        DelayBackend { inner, read_delay }
-    }
-}
-
-impl StorageBackend for DelayBackend {
-    fn num_disks(&self) -> usize {
-        self.inner.num_disks()
-    }
-
-    fn write_block(&mut self, disk: usize, block: u64, data: Vec<u8>) -> Result<(), RefusedWrite> {
-        self.inner.write_block(disk, block, data)
-    }
-
-    fn read_block(&self, disk: usize, block: u64) -> Result<Vec<u8>, StoreError> {
-        std::thread::sleep(self.read_delay);
-        self.inner.read_block(disk, block)
-    }
-
-    fn read_block_into(
-        &self,
-        disk: usize,
-        block: u64,
-        buf: &mut Vec<u8>,
-    ) -> Result<(), StoreError> {
-        std::thread::sleep(self.read_delay);
-        self.inner.read_block_into(disk, block, buf)
-    }
-
-    fn has_block(&self, disk: usize, block: u64) -> bool {
-        self.inner.has_block(disk, block)
-    }
-
-    fn delete_block(&mut self, disk: usize, block: u64) -> Result<(), StoreError> {
-        self.inner.delete_block(disk, block)
-    }
-
-    fn disk_speed(&self, disk: usize) -> f64 {
-        self.inner.disk_speed(disk)
-    }
-
-    fn disk_used(&self, disk: usize) -> u64 {
-        self.inner.disk_used(disk)
-    }
-
-    fn count_read(&mut self) {
-        self.inner.count_read()
-    }
-
-    fn reads(&self) -> u64 {
-        self.inner.reads()
-    }
-
-    fn writes(&self) -> u64 {
-        self.inner.writes()
-    }
-
-    fn commit_batch(
-        &mut self,
-        disk: usize,
-        batch: Vec<(u64, Vec<u8>)>,
-    ) -> Vec<Result<(), RefusedWrite>> {
-        self.inner.commit_batch(disk, batch)
-    }
-
-    fn try_shard(&mut self) -> Option<Vec<Box<dyn DiskShard>>> {
-        let delay = self.read_delay;
-        self.inner.try_shard().map(|shards| {
-            shards
-                .into_iter()
-                .map(|inner| {
-                    Box::new(DelayShard {
-                        inner,
-                        read_delay: delay,
-                    }) as Box<dyn DiskShard>
-                })
-                .collect()
-        })
-    }
-}
-
-/// Per-disk shard of a [`DelayBackend`]: the read sleep runs under the
-/// shard lock, so one disk stays serial while the ring's workers
-/// overlap across disks.
-struct DelayShard {
-    inner: Box<dyn DiskShard>,
-    read_delay: Duration,
-}
-
-impl DiskShard for DelayShard {
-    fn disk_id(&self) -> usize {
-        self.inner.disk_id()
-    }
-
-    fn write_block(&mut self, block: u64, data: Vec<u8>) -> Result<(), RefusedWrite> {
-        self.inner.write_block(block, data)
-    }
-
-    fn commit_batch(&mut self, batch: Vec<(u64, Vec<u8>)>) -> Vec<Result<(), RefusedWrite>> {
-        self.inner.commit_batch(batch)
-    }
-
-    fn read_block_into(&self, block: u64, buf: &mut Vec<u8>) -> Result<(), StoreError> {
-        std::thread::sleep(self.read_delay);
-        self.inner.read_block_into(block, buf)
-    }
-
-    fn has_block(&self, block: u64) -> bool {
-        self.inner.has_block(block)
-    }
-
-    fn delete_block(&mut self, block: u64) -> Result<(), StoreError> {
-        self.inner.delete_block(block)
-    }
-
-    fn speed(&self) -> f64 {
-        self.inner.speed()
-    }
-
-    fn used(&self) -> u64 {
-        self.inner.used()
-    }
-
-    fn count_read(&mut self) {
-        self.inner.count_read()
-    }
-
-    fn reads(&self) -> u64 {
-        self.inner.reads()
-    }
-
-    fn writes(&self) -> u64 {
-        self.inner.writes()
-    }
 }

@@ -32,13 +32,13 @@
 use std::time::{Duration, Instant};
 
 use robustore_core::{
-    AccessMode, Client, DiskShard, InMemoryBackend, QosOptions, ReadPolicy, RefusedWrite,
-    StorageBackend, StoreError, System, SystemConfig,
+    AccessMode, Client, InMemoryBackend, QosOptions, ReadPolicy, System, SystemConfig,
 };
 use robustore_simkit::report::Table;
 use robustore_simkit::rng::exponential;
 use robustore_simkit::{LogHistogram, SeedSequence};
 
+use crate::delay::DelayBackend;
 use crate::MASTER_SEED;
 
 const DISKS: usize = 8;
@@ -111,20 +111,19 @@ pub fn tail(trials: u64) -> String {
     // the EWMA estimators, then the paced open-loop batch.
     let run = |policy: ReadPolicy, arrivals: &[u64]| -> RunResult {
         let sys = System::with_backend(
-            Box::new(HeteroDelayBackend::new(
+            Box::new(DelayBackend::new(
                 InMemoryBackend::uniform(DISKS, 50e6),
                 (0..DISKS).map(delay_of).collect(),
+                None,
             )),
             SystemConfig {
                 block_bytes: block_bytes as u64,
                 encode_threads: 1,
                 pipeline_depth: 4,
-                io_ring: true,
                 read_policy: policy,
                 ..Default::default()
             },
         );
-        assert!(sys.uses_io_ring());
         let client = Client::connect(&sys, sys.register_user());
         let qos = QosOptions::best_effort().with_redundancy(3.0);
         for f in 0..files {
@@ -348,143 +347,6 @@ pub fn tail(trials: u64) -> String {
          utilisation; the policy moves wall-clock only.\n{json_note}\n"
     ));
     out
-}
-
-/// An [`InMemoryBackend`] whose block reads sleep a **per-disk** amount —
-/// the straggler model. Nominal `disk_speed` stays uniform, so the
-/// slowdown is invisible to the planner and the static policy; only the
-/// ring's live telemetry can see it.
-struct HeteroDelayBackend {
-    inner: InMemoryBackend,
-    read_delays: Vec<Duration>,
-}
-
-impl HeteroDelayBackend {
-    fn new(inner: InMemoryBackend, read_delays: Vec<Duration>) -> Self {
-        assert_eq!(inner.num_disks(), read_delays.len());
-        HeteroDelayBackend { inner, read_delays }
-    }
-}
-
-impl StorageBackend for HeteroDelayBackend {
-    fn num_disks(&self) -> usize {
-        self.inner.num_disks()
-    }
-
-    fn write_block(&mut self, disk: usize, block: u64, data: Vec<u8>) -> Result<(), RefusedWrite> {
-        self.inner.write_block(disk, block, data)
-    }
-
-    fn read_block(&self, disk: usize, block: u64) -> Result<Vec<u8>, StoreError> {
-        std::thread::sleep(self.read_delays[disk]);
-        self.inner.read_block(disk, block)
-    }
-
-    fn read_block_into(
-        &self,
-        disk: usize,
-        block: u64,
-        buf: &mut Vec<u8>,
-    ) -> Result<(), StoreError> {
-        std::thread::sleep(self.read_delays[disk]);
-        self.inner.read_block_into(disk, block, buf)
-    }
-
-    fn delete_block(&mut self, disk: usize, block: u64) -> Result<(), StoreError> {
-        self.inner.delete_block(disk, block)
-    }
-
-    fn disk_speed(&self, disk: usize) -> f64 {
-        self.inner.disk_speed(disk)
-    }
-
-    fn disk_used(&self, disk: usize) -> u64 {
-        self.inner.disk_used(disk)
-    }
-
-    fn count_read(&mut self) {
-        self.inner.count_read()
-    }
-
-    fn reads(&self) -> u64 {
-        self.inner.reads()
-    }
-
-    fn writes(&self) -> u64 {
-        self.inner.writes()
-    }
-
-    fn commit_batch(
-        &mut self,
-        disk: usize,
-        batch: Vec<(u64, Vec<u8>)>,
-    ) -> Vec<Result<(), RefusedWrite>> {
-        self.inner.commit_batch(disk, batch)
-    }
-
-    fn try_shard(&mut self) -> Option<Vec<Box<dyn DiskShard>>> {
-        let delays = self.read_delays.clone();
-        self.inner.try_shard().map(|shards| {
-            shards
-                .into_iter()
-                .map(|inner| {
-                    let read_delay = delays[inner.disk_id()];
-                    Box::new(HeteroDelayShard { inner, read_delay }) as Box<dyn DiskShard>
-                })
-                .collect()
-        })
-    }
-}
-
-/// Per-disk shard of a [`HeteroDelayBackend`]: each shard carries its own
-/// read sleep, under the shard lock, so one disk stays serial while the
-/// ring's workers overlap across disks.
-struct HeteroDelayShard {
-    inner: Box<dyn DiskShard>,
-    read_delay: Duration,
-}
-
-impl DiskShard for HeteroDelayShard {
-    fn disk_id(&self) -> usize {
-        self.inner.disk_id()
-    }
-
-    fn write_block(&mut self, block: u64, data: Vec<u8>) -> Result<(), RefusedWrite> {
-        self.inner.write_block(block, data)
-    }
-
-    fn commit_batch(&mut self, batch: Vec<(u64, Vec<u8>)>) -> Vec<Result<(), RefusedWrite>> {
-        self.inner.commit_batch(batch)
-    }
-
-    fn read_block_into(&self, block: u64, buf: &mut Vec<u8>) -> Result<(), StoreError> {
-        std::thread::sleep(self.read_delay);
-        self.inner.read_block_into(block, buf)
-    }
-
-    fn delete_block(&mut self, block: u64) -> Result<(), StoreError> {
-        self.inner.delete_block(block)
-    }
-
-    fn speed(&self) -> f64 {
-        self.inner.speed()
-    }
-
-    fn used(&self) -> u64 {
-        self.inner.used()
-    }
-
-    fn count_read(&mut self) {
-        self.inner.count_read()
-    }
-
-    fn reads(&self) -> u64 {
-        self.inner.reads()
-    }
-
-    fn writes(&self) -> u64 {
-        self.inner.writes()
-    }
 }
 
 /// Tiny FNV-1a digest — enough to compare decoded payloads across runs

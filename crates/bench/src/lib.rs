@@ -14,6 +14,7 @@
 //! draws — who wins, by what factor, where the knees fall — are the
 //! reproduction targets. See `EXPERIMENTS.md` at the repo root.
 
+pub mod delay;
 pub mod experiments;
 
 /// Default trial count per configuration. The paper uses 100; the default

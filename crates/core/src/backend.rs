@@ -53,8 +53,8 @@ pub trait DiskShard: Send {
     fn disk_id(&self) -> usize;
 
     /// Store `data` under key `block`. On failure the buffer comes back
-    /// inside [`RefusedWrite`], exactly as in
-    /// [`StorageBackend::write_block`].
+    /// inside [`RefusedWrite`] — ownership transfers to the shard only on
+    /// success.
     fn write_block(&mut self, block: u64, data: Vec<u8>) -> Result<(), RefusedWrite>;
 
     /// Group commit: write `batch` in submission order under one dispatch
@@ -82,7 +82,8 @@ pub trait DiskShard: Send {
         out
     }
 
-    /// Fetch block `block` into a caller-provided buffer.
+    /// Fetch block `block` into a caller-provided buffer (e.g. one
+    /// recycled from a `BlockPool`), resized to the block's length.
     fn read_block_into(&self, block: u64, buf: &mut Vec<u8>) -> Result<(), StoreError>;
 
     /// Presence probe: does this shard currently hold a readable copy of
@@ -105,7 +106,8 @@ pub trait DiskShard: Send {
     /// Bytes currently stored.
     fn used(&self) -> u64;
 
-    /// Account one block read (mirrors [`StorageBackend::count_read`]).
+    /// Account one block read (reads go through `&self`, so the system
+    /// reports them explicitly).
     fn count_read(&mut self) {}
 
     /// Blocks read through this shard so far.
@@ -121,21 +123,31 @@ pub trait DiskShard: Send {
     /// Failure injection: take the disk offline or bring it back.
     fn set_offline(&mut self, _offline: bool) {}
 
-    /// Fault injection: lose stored blocks with probability `fraction`
-    /// (see [`StorageBackend::drop_random_blocks`]; same seeded streams,
-    /// so a sharded backend loses the same victims as an unsharded one).
+    /// Fault injection: silently lose each stored block with probability
+    /// `fraction` (latent sector errors rather than a whole outage),
+    /// deterministically from `seq`. Returns the lost block keys in
+    /// ascending order; shards without loss support lose nothing.
     fn drop_random_blocks(&mut self, _fraction: f64, _seq: &SeedSequence) -> Vec<u64> {
         Vec::new()
     }
 
-    /// Fault injection: flip one byte in stored blocks with probability
-    /// `fraction` (see [`StorageBackend::corrupt_random_blocks`]).
+    /// Fault injection: silently flip one byte in each stored block with
+    /// probability `fraction` (at-rest bit rot — the block still reads,
+    /// but with wrong bytes only checksum verification can catch),
+    /// deterministically from `seq`. Returns the corrupted block keys in
+    /// ascending order; shards without corruption support corrupt
+    /// nothing.
     fn corrupt_random_blocks(&mut self, _fraction: f64, _seq: &SeedSequence) -> Vec<u64> {
         Vec::new()
     }
 }
 
 /// Block-granular storage under the client.
+///
+/// The client never does I/O through this trait directly: the system
+/// splits every backend into per-disk [`DiskShard`]s at startup
+/// ([`StorageBackend::try_shard`]) and drives those through the I/O
+/// ring. The block methods here serve a backend's own setup and tests.
 pub trait StorageBackend {
     /// Number of disks in the system.
     fn num_disks(&self) -> usize;
@@ -148,60 +160,14 @@ pub trait StorageBackend {
     /// Fetch block `block` of disk `disk`.
     fn read_block(&self, disk: usize, block: u64) -> Result<Vec<u8>, StoreError>;
 
-    /// Fetch block `block` of disk `disk` into a caller-provided buffer
-    /// (e.g. one recycled from a `BlockPool`), avoiding a fresh
-    /// allocation per read. The buffer is resized to the block's length.
-    /// The default delegates to [`StorageBackend::read_block`]; backends
-    /// that can copy in place should override it.
-    fn read_block_into(
-        &self,
-        disk: usize,
-        block: u64,
-        buf: &mut Vec<u8>,
-    ) -> Result<(), StoreError> {
-        *buf = self.read_block(disk, block)?;
-        Ok(())
-    }
-
-    /// Group commit: write `batch` to `disk` in submission order under
-    /// one dispatch. Same contract as [`DiskShard::commit_batch`]: the
-    /// default loops [`StorageBackend::write_block`] and stops at the
-    /// first hard (non-refusal) fault, so the result vector may be
-    /// shorter than the batch.
-    fn commit_batch(
-        &mut self,
-        disk: usize,
-        batch: Vec<(u64, Vec<u8>)>,
-    ) -> Vec<Result<(), RefusedWrite>> {
-        let mut out = Vec::with_capacity(batch.len());
-        for (block, data) in batch {
-            let result = self.write_block(disk, block, data);
-            let hard =
-                matches!(&result, Err(rw) if !matches!(rw.error, StoreError::MissingBlock { .. }));
-            out.push(result);
-            if hard {
-                break;
-            }
-        }
-        out
-    }
-
     /// Split this backend into independent per-disk shards, consuming its
     /// guts: each [`DiskShard`] owns one disk's state and can be locked
-    /// separately, so accesses touching different disks stop serialising
-    /// on one big lock. Returns `None` when the backend cannot shard (the
-    /// system then falls back to a single lock around the whole backend).
-    /// After a successful split the husk must not be used for I/O.
-    fn try_shard(&mut self) -> Option<Vec<Box<dyn DiskShard>>> {
-        None
-    }
-
-    /// Presence probe: same contract as [`DiskShard::has_block`], scoped
-    /// by disk id.
-    fn has_block(&self, disk: usize, block: u64) -> bool {
-        let mut scratch = Vec::new();
-        self.read_block_into(disk, block, &mut scratch).is_ok()
-    }
+    /// separately, so accesses touching different disks never serialise
+    /// on one big lock. This is the backend contract: a backend must
+    /// return exactly one shard per disk, and the system refuses to start
+    /// over one that returns `None`. After the split the husk must not be
+    /// used for I/O.
+    fn try_shard(&mut self) -> Option<Vec<Box<dyn DiskShard>>>;
 
     /// Remove a block (updates delete obsolete coded blocks, §4.3.4).
     fn delete_block(&mut self, disk: usize, block: u64) -> Result<(), StoreError>;
@@ -212,62 +178,13 @@ pub trait StorageBackend {
 
     /// Bytes currently stored on a disk.
     fn disk_used(&self, disk: usize) -> u64;
-
-    /// Account one block read (reads go through `&self`, so the client
-    /// reports them explicitly).
-    fn count_read(&mut self) {}
-
-    /// Blocks read so far (speculative-access accounting).
-    fn reads(&self) -> u64 {
-        0
-    }
-
-    /// Blocks written so far.
-    fn writes(&self) -> u64 {
-        0
-    }
-
-    /// Failure injection: take a disk offline or bring it back. Backends
-    /// without failure support may ignore this.
-    fn set_offline(&mut self, _disk: usize, _offline: bool) {}
-
-    /// Fault injection: silently lose each stored block of `disk` with
-    /// probability `fraction` (latent sector errors rather than a whole
-    /// outage), deterministically from `seq`. Returns the lost block
-    /// keys; backends without loss support lose nothing.
-    fn drop_random_blocks(
-        &mut self,
-        _disk: usize,
-        _fraction: f64,
-        _seq: &SeedSequence,
-    ) -> Vec<u64> {
-        Vec::new()
-    }
-
-    /// Fault injection: silently flip one byte in each stored block of
-    /// `disk` with probability `fraction` (at-rest bit rot — the block
-    /// still reads, but with wrong bytes only checksum verification can
-    /// catch), deterministically from `seq`. Returns the corrupted block
-    /// keys in ascending order; backends without corruption support
-    /// corrupt nothing.
-    fn corrupt_random_blocks(
-        &mut self,
-        _disk: usize,
-        _fraction: f64,
-        _seq: &SeedSequence,
-    ) -> Vec<u64> {
-        Vec::new()
-    }
 }
 
 /// In-memory backend: one block map per disk plus a nominal speed.
+/// Read/write counters, outages and fault injection live on its shards.
 #[derive(Debug, Default)]
 pub struct InMemoryBackend {
     disks: Vec<DiskStore>,
-    /// Blocks read (speculative access may read more than needed).
-    reads: u64,
-    /// Blocks written.
-    writes: u64,
 }
 
 #[derive(Debug, Default)]
@@ -280,8 +197,7 @@ struct DiskStore {
 
 impl DiskStore {
     /// `disk` is the store's global id — used only for error values and
-    /// the seeded fault streams, so shard and whole-backend behaviour
-    /// stay bit-identical.
+    /// the seeded fault streams.
     fn write(&mut self, disk: usize, block: u64, data: Vec<u8>) -> Result<(), RefusedWrite> {
         if self.offline {
             return Err(RefusedWrite::new(
@@ -360,7 +276,12 @@ impl DiskStore {
 }
 
 /// One in-memory disk split out of an [`InMemoryBackend`] by
-/// [`StorageBackend::try_shard`].
+/// [`StorageBackend::try_shard`]. Lost blocks read as
+/// [`StoreError::MissingBlock`], which the degraded-read path skips over;
+/// rotted blocks keep their length and keep reading, with one byte
+/// flipped. Victims depend only on the disk's contents, `fraction`, and
+/// `seq` (dedicated `"block-loss"` and `"bit-rot"` streams); stored blocks
+/// survive an outage, only I/O is refused.
 #[derive(Debug)]
 struct InMemoryShard {
     disk: usize,
@@ -440,19 +361,12 @@ impl InMemoryBackend {
                     offline: false,
                 })
                 .collect(),
-            reads: 0,
-            writes: 0,
         }
     }
 
     /// A uniform backend of `n` disks at `speed` bytes/second.
     pub fn uniform(n: usize, speed: f64) -> Self {
         InMemoryBackend::new(vec![speed; n])
-    }
-
-    /// Whether a disk is currently offline.
-    pub fn is_offline(&self, disk: usize) -> bool {
-        self.disks.get(disk).is_some_and(|d| d.offline)
     }
 }
 
@@ -462,39 +376,22 @@ impl StorageBackend for InMemoryBackend {
     }
 
     fn write_block(&mut self, disk: usize, block: u64, data: Vec<u8>) -> Result<(), RefusedWrite> {
-        let Some(d) = self.disks.get_mut(disk) else {
-            return Err(RefusedWrite::new(
+        match self.disks.get_mut(disk) {
+            Some(d) => d.write(disk, block, data),
+            None => Err(RefusedWrite::new(
                 StoreError::MissingBlock { disk, block },
                 data,
-            ));
-        };
-        d.write(disk, block, data)?;
-        self.writes += 1;
-        Ok(())
+            )),
+        }
     }
 
     fn read_block(&self, disk: usize, block: u64) -> Result<Vec<u8>, StoreError> {
         let mut buf = Vec::new();
-        self.read_block_into(disk, block, &mut buf)?;
-        Ok(buf)
-    }
-
-    /// Copies into `buf` in place — no allocation when its capacity
-    /// already covers the block (the pooled-buffer fast path).
-    fn read_block_into(
-        &self,
-        disk: usize,
-        block: u64,
-        buf: &mut Vec<u8>,
-    ) -> Result<(), StoreError> {
         self.disks
             .get(disk)
             .ok_or(StoreError::MissingBlock { disk, block })?
-            .read_into(disk, block, buf)
-    }
-
-    fn has_block(&self, disk: usize, block: u64) -> bool {
-        self.disks.get(disk).is_some_and(|d| d.has(block))
+            .read_into(disk, block, &mut buf)?;
+        Ok(buf)
     }
 
     fn delete_block(&mut self, disk: usize, block: u64) -> Result<(), StoreError> {
@@ -528,50 +425,16 @@ impl StorageBackend for InMemoryBackend {
     fn disk_used(&self, disk: usize) -> u64 {
         self.disks[disk].used
     }
-
-    fn count_read(&mut self) {
-        self.reads += 1;
-    }
-
-    fn reads(&self) -> u64 {
-        self.reads
-    }
-
-    fn writes(&self) -> u64 {
-        self.writes
-    }
-
-    /// Stored blocks survive an outage; only I/O is refused.
-    fn set_offline(&mut self, disk: usize, offline: bool) {
-        self.disks[disk].offline = offline;
-    }
-
-    /// Reads of a lost block report [`StoreError::MissingBlock`], which
-    /// the client's degraded-read path skips over. The victims depend
-    /// only on the disk's contents, `fraction`, and `seq` (drawn from
-    /// the dedicated `"block-loss"` stream); lost keys come back in
-    /// ascending order.
-    fn drop_random_blocks(&mut self, disk: usize, fraction: f64, seq: &SeedSequence) -> Vec<u64> {
-        self.disks[disk].drop_random(disk, fraction, seq)
-    }
-
-    /// Bit rot: victims keep their length and keep reading successfully,
-    /// but one byte is flipped — indistinguishable from a good block
-    /// without the stored checksum. Victims depend only on the disk's
-    /// contents, `fraction`, and `seq` (dedicated `"bit-rot"` stream).
-    fn corrupt_random_blocks(
-        &mut self,
-        disk: usize,
-        fraction: f64,
-        seq: &SeedSequence,
-    ) -> Vec<u64> {
-        self.disks[disk].corrupt_random(disk, fraction, seq)
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// Split a backend the way the system does and hand back its disks.
+    fn shards(mut b: InMemoryBackend) -> Vec<Box<dyn DiskShard>> {
+        b.try_shard().expect("in-memory backends shard")
+    }
 
     #[test]
     fn write_read_delete_roundtrip() {
@@ -588,27 +451,47 @@ mod tests {
     }
 
     #[test]
-    fn overwrite_adjusts_usage() {
-        let mut b = InMemoryBackend::uniform(1, 10e6);
-        b.write_block(0, 1, vec![0; 100]).unwrap();
-        b.write_block(0, 1, vec![0; 40]).unwrap();
-        assert_eq!(b.disk_used(0), 40);
-        assert_eq!(b.writes(), 2);
+    fn shards_carry_blocks_and_adjust_usage() {
+        let mut b = InMemoryBackend::uniform(2, 10e6);
+        b.write_block(1, 5, vec![4; 10]).unwrap();
+        let mut disks = shards(b);
+        assert_eq!(disks.len(), 2);
+        assert_eq!((disks[1].disk_id(), disks[1].used()), (1, 10));
+        assert!(disks[1].has_block(5));
+        disks[0].write_block(1, vec![0; 100]).unwrap();
+        disks[0].write_block(1, vec![0; 40]).unwrap();
+        assert_eq!(disks[0].used(), 40);
+        assert_eq!(disks[0].writes(), 2);
     }
 
     #[test]
     fn read_into_reuses_capacity() {
-        let mut b = InMemoryBackend::uniform(1, 10e6);
-        b.write_block(0, 3, vec![9, 8, 7]).unwrap();
+        let mut disks = shards(InMemoryBackend::uniform(1, 10e6));
+        disks[0].write_block(3, vec![9, 8, 7]).unwrap();
         let mut buf = Vec::with_capacity(16);
         let ptr = buf.as_ptr();
-        b.read_block_into(0, 3, &mut buf).unwrap();
+        disks[0].read_block_into(3, &mut buf).unwrap();
         assert_eq!(buf, vec![9, 8, 7]);
         assert_eq!(buf.as_ptr(), ptr, "capacity sufficed; no reallocation");
         assert!(matches!(
-            b.read_block_into(0, 99, &mut buf),
+            disks[0].read_block_into(99, &mut buf),
             Err(StoreError::MissingBlock { .. })
         ));
+    }
+
+    #[test]
+    fn offline_shard_keeps_blocks_but_refuses_io() {
+        let mut disks = shards(InMemoryBackend::uniform(1, 10e6));
+        disks[0].write_block(1, vec![1]).unwrap();
+        disks[0].set_offline(true);
+        let mut buf = Vec::new();
+        assert!(disks[0].read_block_into(1, &mut buf).is_err());
+        assert!(!disks[0].has_block(1));
+        let refused = disks[0].write_block(2, vec![2]).unwrap_err();
+        assert_eq!(refused.data, vec![2], "payload handed back");
+        disks[0].set_offline(false);
+        disks[0].read_block_into(1, &mut buf).unwrap();
+        assert_eq!(buf, vec![1]);
     }
 
     #[test]
@@ -625,6 +508,8 @@ mod tests {
         assert_eq!(b.disk_speed(0), 1e6);
         assert_eq!(b.disk_speed(1), 50e6);
         assert_eq!(b.num_disks(), 2);
+        let disks = shards(b);
+        assert_eq!(disks[1].speed(), 50e6);
     }
 
     #[test]
@@ -633,48 +518,55 @@ mod tests {
         InMemoryBackend::new(vec![0.0]);
     }
 
-    fn loaded_backend() -> InMemoryBackend {
+    /// Disk 0 of a two-disk backend holding 64 blocks of 16 bytes.
+    fn loaded_disk() -> Box<dyn DiskShard> {
         let mut b = InMemoryBackend::uniform(2, 10e6);
         for key in 0..64 {
             b.write_block(0, key, vec![key as u8; 16]).unwrap();
         }
-        b
+        shards(b).swap_remove(0)
+    }
+
+    fn read(disk: &dyn DiskShard, key: u64) -> Result<Vec<u8>, StoreError> {
+        let mut buf = Vec::new();
+        disk.read_block_into(key, &mut buf).map(|()| buf)
     }
 
     #[test]
     fn block_loss_is_deterministic() {
         let seq = SeedSequence::new(11);
-        let lost_a = loaded_backend().drop_random_blocks(0, 0.3, &seq);
-        let lost_b = loaded_backend().drop_random_blocks(0, 0.3, &seq);
+        let lost_a = loaded_disk().drop_random_blocks(0.3, &seq);
+        let lost_b = loaded_disk().drop_random_blocks(0.3, &seq);
         assert_eq!(lost_a, lost_b);
         assert!(!lost_a.is_empty() && lost_a.len() < 64, "p=0.3 over 64");
         assert!(lost_a.windows(2).all(|w| w[0] < w[1]), "ascending keys");
-        let other_seed = loaded_backend().drop_random_blocks(0, 0.3, &SeedSequence::new(12));
+        let other_seed = loaded_disk().drop_random_blocks(0.3, &SeedSequence::new(12));
         assert_ne!(lost_a, other_seed);
     }
 
     #[test]
     fn lost_blocks_read_as_missing_and_free_space() {
-        let mut b = loaded_backend();
-        let used_before = b.disk_used(0);
-        let lost = b.drop_random_blocks(0, 0.5, &SeedSequence::new(7));
-        assert_eq!(b.disk_used(0), used_before - 16 * lost.len() as u64);
+        let mut disk = loaded_disk();
+        let used_before = disk.used();
+        let lost = disk.drop_random_blocks(0.5, &SeedSequence::new(7));
+        assert_eq!(disk.used(), used_before - 16 * lost.len() as u64);
         for &key in &lost {
             assert!(matches!(
-                b.read_block(0, key),
+                read(&*disk, key),
                 Err(StoreError::MissingBlock { .. })
             ));
         }
-        // Untouched disk and fraction edge cases.
-        assert!(b
-            .drop_random_blocks(1, 0.5, &SeedSequence::new(7))
+        // Empty disk and fraction edge cases.
+        let mut empty = shards(InMemoryBackend::uniform(1, 10e6)).swap_remove(0);
+        assert!(empty
+            .drop_random_blocks(0.5, &SeedSequence::new(7))
             .is_empty());
-        assert!(loaded_backend()
-            .drop_random_blocks(0, 0.0, &SeedSequence::new(7))
+        assert!(loaded_disk()
+            .drop_random_blocks(0.0, &SeedSequence::new(7))
             .is_empty());
         assert_eq!(
-            loaded_backend()
-                .drop_random_blocks(0, 1.0, &SeedSequence::new(7))
+            loaded_disk()
+                .drop_random_blocks(1.0, &SeedSequence::new(7))
                 .len(),
             64
         );
@@ -683,30 +575,30 @@ mod tests {
     #[test]
     fn bit_rot_is_deterministic_and_silent() {
         let seq = SeedSequence::new(21);
-        let rot_a = loaded_backend().corrupt_random_blocks(0, 0.3, &seq);
-        let rot_b = loaded_backend().corrupt_random_blocks(0, 0.3, &seq);
+        let rot_a = loaded_disk().corrupt_random_blocks(0.3, &seq);
+        let rot_b = loaded_disk().corrupt_random_blocks(0.3, &seq);
         assert_eq!(rot_a, rot_b);
         assert!(!rot_a.is_empty() && rot_a.len() < 64);
         assert!(rot_a.windows(2).all(|w| w[0] < w[1]), "ascending keys");
 
-        let mut b = loaded_backend();
-        let used_before = b.disk_used(0);
-        let rotted = b.corrupt_random_blocks(0, 0.3, &seq);
+        let mut disk = loaded_disk();
+        let used_before = disk.used();
+        let rotted = disk.corrupt_random_blocks(0.3, &seq);
         // Silent: same usage, same length, reads still succeed — but the
         // bytes differ from the originals.
-        assert_eq!(b.disk_used(0), used_before);
+        assert_eq!(disk.used(), used_before);
         for &key in &rotted {
-            let data = b.read_block(0, key).unwrap();
+            let data = read(&*disk, key).unwrap();
             assert_eq!(data.len(), 16);
             assert_ne!(data, vec![key as u8; 16], "block {key} not corrupted");
         }
         // Non-victims are untouched.
         for key in (0..64).filter(|k| !rotted.contains(k)) {
-            assert_eq!(b.read_block(0, key).unwrap(), vec![key as u8; 16]);
+            assert_eq!(read(&*disk, key).unwrap(), vec![key as u8; 16]);
         }
         assert_ne!(
             rot_a,
-            loaded_backend().corrupt_random_blocks(0, 0.3, &SeedSequence::new(22))
+            loaded_disk().corrupt_random_blocks(0.3, &SeedSequence::new(22))
         );
     }
 }

@@ -1,9 +1,10 @@
 //! Fault injection over any [`StorageBackend`].
 //!
-//! [`ChaosBackend`] wraps a real backend and interposes on `write_block`
-//! and `read_block_into` according to a [`FaultSwitch`] the test arms
-//! from outside — including *mid-access*, because the switch is a shared
-//! handle while the wrapped backend is owned by the [`crate::System`].
+//! [`ChaosBackend`] wraps a real backend and interposes on each disk
+//! shard's `write_block` and `read_block_into` according to a
+//! [`FaultSwitch`] the test arms from outside — including *mid-access*,
+//! because the switch is a shared handle while the wrapped backend is
+//! owned by the [`crate::System`].
 //!
 //! Write-path fault shapes:
 //!
@@ -237,11 +238,12 @@ impl FaultSwitch {
     }
 }
 
-/// A [`StorageBackend`] that injects write and read faults per its
-/// [`FaultSwitch`].
+/// A [`StorageBackend`] whose disk shards inject write and read faults
+/// per its [`FaultSwitch`].
 ///
-/// Deletes and accounting delegate untouched to the inner backend;
-/// `write_block` and the block-read methods are interposed.
+/// Faults act on the shards — the only I/O path. The whole-backend block
+/// methods (used before the split, e.g. to seed a store) and deletes and
+/// accounting delegate untouched to the inner backend.
 #[derive(Debug)]
 pub struct ChaosBackend<B> {
     inner: B,
@@ -266,49 +268,15 @@ impl<B: StorageBackend> StorageBackend for ChaosBackend<B> {
     }
 
     fn write_block(&mut self, disk: usize, block: u64, data: Vec<u8>) -> Result<(), RefusedWrite> {
-        if let Some(error) = self.switch.intercept(disk, block) {
-            return Err(RefusedWrite::new(error, data));
-        }
         self.inner.write_block(disk, block, data)
     }
 
     fn read_block(&self, disk: usize, block: u64) -> Result<Vec<u8>, StoreError> {
-        let mut buf = Vec::new();
-        self.read_block_into(disk, block, &mut buf)?;
-        Ok(buf)
-    }
-
-    fn read_block_into(
-        &self,
-        disk: usize,
-        block: u64,
-        buf: &mut Vec<u8>,
-    ) -> Result<(), StoreError> {
-        let fate = self.switch.intercept_read(disk);
-        if let Some(ReadFate::Error(e)) = fate {
-            return Err(e);
-        }
-        self.inner.read_block_into(disk, block, buf)?;
-        match fate {
-            Some(ReadFate::Corrupt) => {
-                if let Some(byte) = buf.first_mut() {
-                    *byte ^= 0xFF;
-                }
-            }
-            Some(ReadFate::Tear) => buf.truncate(buf.len() / 2),
-            _ => {}
-        }
-        Ok(())
+        self.inner.read_block(disk, block)
     }
 
     fn delete_block(&mut self, disk: usize, block: u64) -> Result<(), StoreError> {
         self.inner.delete_block(disk, block)
-    }
-
-    /// Presence probes are not reads: they bypass the switch so risk
-    /// assessment never drains armed fault budgets.
-    fn has_block(&self, disk: usize, block: u64) -> bool {
-        self.inner.has_block(disk, block)
     }
 
     fn disk_speed(&self, disk: usize) -> f64 {
@@ -317,35 +285,6 @@ impl<B: StorageBackend> StorageBackend for ChaosBackend<B> {
 
     fn disk_used(&self, disk: usize) -> u64 {
         self.inner.disk_used(disk)
-    }
-
-    fn count_read(&mut self) {
-        self.inner.count_read();
-    }
-
-    fn reads(&self) -> u64 {
-        self.inner.reads()
-    }
-
-    fn writes(&self) -> u64 {
-        self.inner.writes()
-    }
-
-    fn set_offline(&mut self, disk: usize, offline: bool) {
-        self.inner.set_offline(disk, offline);
-    }
-
-    fn drop_random_blocks(&mut self, disk: usize, fraction: f64, seq: &SeedSequence) -> Vec<u64> {
-        self.inner.drop_random_blocks(disk, fraction, seq)
-    }
-
-    fn corrupt_random_blocks(
-        &mut self,
-        disk: usize,
-        fraction: f64,
-        seq: &SeedSequence,
-    ) -> Vec<u64> {
-        self.inner.corrupt_random_blocks(disk, fraction, seq)
     }
 
     fn try_shard(&mut self) -> Option<Vec<Box<dyn DiskShard>>> {
@@ -357,7 +296,7 @@ impl<B: StorageBackend> StorageBackend for ChaosBackend<B> {
         // arrive one at a time or through a group-commit batch (the
         // default [`DiskShard::commit_batch`] funnels every entry through
         // the intercepting `write_block` and stops at the first hard
-        // fault, exactly like the unsharded wrapper).
+        // fault).
         let shards = self.inner.try_shard()?;
         Some(
             shards
@@ -373,8 +312,8 @@ impl<B: StorageBackend> StorageBackend for ChaosBackend<B> {
     }
 }
 
-/// One fault-injecting disk shard: the sharded counterpart of
-/// [`ChaosBackend`], sharing its [`FaultSwitch`].
+/// One fault-injecting disk shard of a [`ChaosBackend`], sharing its
+/// [`FaultSwitch`].
 struct ChaosShard {
     inner: Box<dyn DiskShard>,
     switch: FaultSwitch,
@@ -414,7 +353,8 @@ impl DiskShard for ChaosShard {
         self.inner.delete_block(block)
     }
 
-    /// Presence probes bypass the switch (see the backend impl).
+    /// Presence probes are not reads: they bypass the switch so risk
+    /// assessment never drains armed fault budgets.
     fn has_block(&self, block: u64) -> bool {
         self.inner.has_block(block)
     }
@@ -457,43 +397,54 @@ mod tests {
     use super::*;
     use crate::backend::InMemoryBackend;
 
+    /// A chaos-wrapped in-memory store split the way the system does.
+    fn chaos_disks(n: usize) -> (Vec<Box<dyn DiskShard>>, FaultSwitch) {
+        let (mut b, switch) = ChaosBackend::new(InMemoryBackend::uniform(n, 10e6));
+        (b.try_shard().expect("in-memory backends shard"), switch)
+    }
+
+    fn read(disk: &dyn DiskShard, key: u64) -> Result<Vec<u8>, StoreError> {
+        let mut buf = Vec::new();
+        disk.read_block_into(key, &mut buf).map(|()| buf)
+    }
+
     #[test]
     fn refusal_returns_buffer_and_routes_as_missing() {
-        let (mut b, switch) = ChaosBackend::new(InMemoryBackend::uniform(2, 10e6));
+        let (mut d, switch) = chaos_disks(2);
         switch.refuse_disk(0);
-        let err = b.write_block(0, 1, vec![7; 8]).unwrap_err();
+        let err = d[0].write_block(1, vec![7; 8]).unwrap_err();
         assert!(matches!(
             err.error,
             StoreError::MissingBlock { disk: 0, .. }
         ));
         assert_eq!(err.data, vec![7; 8], "payload handed back intact");
-        b.write_block(1, 1, vec![7; 8]).unwrap();
-        assert_eq!(b.disk_used(0), 0);
-        assert_eq!(b.disk_used(1), 8);
+        d[1].write_block(1, vec![7; 8]).unwrap();
+        assert_eq!(d[0].used(), 0);
+        assert_eq!(d[1].used(), 8);
         assert_eq!(switch.injected_hard_faults(), 0);
     }
 
     #[test]
     fn fail_after_budget_then_hard_fault() {
-        let (mut b, switch) = ChaosBackend::new(InMemoryBackend::uniform(1, 10e6));
+        let (mut d, switch) = chaos_disks(1);
         switch.fail_disk_after(0, 2);
-        b.write_block(0, 1, vec![1]).unwrap();
-        b.write_block(0, 2, vec![2]).unwrap();
-        let err = b.write_block(0, 3, vec![3]).unwrap_err();
+        d[0].write_block(1, vec![1]).unwrap();
+        d[0].write_block(2, vec![2]).unwrap();
+        let err = d[0].write_block(3, vec![3]).unwrap_err();
         assert!(matches!(err.error, StoreError::DiskFault { disk: 0 }));
         assert_eq!(err.data, vec![3]);
         assert_eq!(switch.injected_hard_faults(), 1);
         // Reads of committed blocks still succeed: the fault is I/O-side.
-        assert_eq!(b.read_block(0, 1).unwrap(), vec![1]);
+        assert_eq!(read(&*d[0], 1).unwrap(), vec![1]);
     }
 
     #[test]
     fn clear_disarms_but_keeps_count() {
-        let (mut b, switch) = ChaosBackend::new(InMemoryBackend::uniform(1, 10e6));
+        let (mut d, switch) = chaos_disks(1);
         switch.fail_disk_after(0, 0);
-        assert!(b.write_block(0, 1, vec![1]).is_err());
+        assert!(d[0].write_block(1, vec![1]).is_err());
         switch.clear();
-        b.write_block(0, 1, vec![1]).unwrap();
+        d[0].write_block(1, vec![1]).unwrap();
         assert_eq!(switch.injected_hard_faults(), 1);
     }
 
@@ -502,10 +453,10 @@ mod tests {
         use robustore_simkit::WriteFaultScenario;
         let seq = SeedSequence::new(42);
         let plan = WriteFaultPlan::generate(&WriteFaultScenario::RefusingDisks { n: 2 }, 4, &seq);
-        let (mut b, switch) = ChaosBackend::new(InMemoryBackend::uniform(4, 10e6));
+        let (mut d, switch) = chaos_disks(4);
         switch.apply(&plan);
         let refused: Vec<usize> = (0..4)
-            .filter(|&d| b.write_block(d, 0, vec![0]).is_err())
+            .filter(|&i| d[i].write_block(0, vec![0]).is_err())
             .collect();
         assert_eq!(refused.len(), 2);
         assert_eq!(
@@ -516,53 +467,54 @@ mod tests {
 
     #[test]
     fn transient_reads_exhaust_then_succeed() {
-        let (mut b, switch) = ChaosBackend::new(InMemoryBackend::uniform(1, 10e6));
-        b.write_block(0, 5, vec![3; 8]).unwrap();
+        let (mut d, switch) = chaos_disks(1);
+        d[0].write_block(5, vec![3; 8]).unwrap();
         switch.transient_reads(0, 2);
-        let mut buf = Vec::new();
-        assert!(matches!(
-            b.read_block_into(0, 5, &mut buf),
-            Err(StoreError::TransientIo { disk: 0 })
-        ));
-        assert!(matches!(
-            b.read_block_into(0, 5, &mut buf),
-            Err(StoreError::TransientIo { disk: 0 })
-        ));
-        b.read_block_into(0, 5, &mut buf).unwrap();
-        assert_eq!(buf, vec![3; 8], "block intact after transients");
+        for _ in 0..2 {
+            assert!(matches!(
+                read(&*d[0], 5),
+                Err(StoreError::TransientIo { disk: 0 })
+            ));
+        }
+        assert_eq!(
+            read(&*d[0], 5).unwrap(),
+            vec![3; 8],
+            "intact after transients"
+        );
         assert_eq!(switch.injected_read_faults(), (2, 0, 0));
     }
 
     #[test]
     fn corrupt_and_torn_reads_mutate_the_buffer() {
-        let (mut b, switch) = ChaosBackend::new(InMemoryBackend::uniform(1, 10e6));
-        b.write_block(0, 1, vec![0xAA; 8]).unwrap();
+        let (mut d, switch) = chaos_disks(1);
+        d[0].write_block(1, vec![0xAA; 8]).unwrap();
         switch.corrupt_reads(0, 1);
-        let got = b.read_block(0, 1).unwrap();
+        let got = read(&*d[0], 1).unwrap();
         assert_eq!(got.len(), 8);
         assert_ne!(got, vec![0xAA; 8], "first byte flipped");
         assert_eq!(&got[1..], &[0xAA; 7][..]);
         // Budget spent: next read is clean.
-        assert_eq!(b.read_block(0, 1).unwrap(), vec![0xAA; 8]);
+        assert_eq!(read(&*d[0], 1).unwrap(), vec![0xAA; 8]);
 
         switch.torn_reads(0, 1);
-        let torn = b.read_block(0, 1).unwrap();
+        let torn = read(&*d[0], 1).unwrap();
         assert_eq!(torn, vec![0xAA; 4], "torn read returns half the block");
-        assert_eq!(b.read_block(0, 1).unwrap(), vec![0xAA; 8]);
+        assert_eq!(read(&*d[0], 1).unwrap(), vec![0xAA; 8]);
         assert_eq!(switch.injected_read_faults(), (0, 1, 1));
+        assert!(d[0].has_block(1), "probes bypass the switch");
     }
 
     #[test]
     fn hard_read_faults_until_cleared() {
-        let (mut b, switch) = ChaosBackend::new(InMemoryBackend::uniform(1, 10e6));
-        b.write_block(0, 1, vec![1]).unwrap();
+        let (mut d, switch) = chaos_disks(1);
+        d[0].write_block(1, vec![1]).unwrap();
         switch.fail_reads_hard(0);
         assert!(matches!(
-            b.read_block(0, 1),
+            read(&*d[0], 1),
             Err(StoreError::DiskFault { disk: 0 })
         ));
         switch.clear();
-        assert_eq!(b.read_block(0, 1).unwrap(), vec![1]);
+        assert_eq!(read(&*d[0], 1).unwrap(), vec![1]);
     }
 
     #[test]
@@ -574,17 +526,17 @@ mod tests {
             4,
             &seq,
         );
-        let (mut b, switch) = ChaosBackend::new(InMemoryBackend::uniform(4, 10e6));
-        for d in 0..4 {
-            b.write_block(d, 0, vec![d as u8]).unwrap();
+        let (mut d, switch) = chaos_disks(4);
+        for (i, disk) in d.iter_mut().enumerate() {
+            disk.write_block(0, vec![i as u8]).unwrap();
         }
         switch.apply_read(&plan);
-        let failing: Vec<usize> = (0..4).filter(|&d| b.read_block(d, 0).is_err()).collect();
+        let failing: Vec<usize> = (0..4).filter(|&i| read(&*d[i], 0).is_err()).collect();
         assert_eq!(
             failing,
             plan.faults.iter().map(|f| f.disk).collect::<Vec<_>>()
         );
         // Budgets spent: everything reads clean now.
-        assert!((0..4).all(|d| b.read_block(d, 0).is_ok()));
+        assert!((0..4).all(|i| read(&*d[i], 0).is_ok()));
     }
 }

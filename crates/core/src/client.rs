@@ -31,7 +31,7 @@ use parking_lot::Mutex;
 use robustore_erasure::lt::{LtCode, LtDecoder};
 use robustore_erasure::{Block, BlockPool, LtParams};
 use robustore_schemes::placement::Placement;
-use robustore_schemes::{AdaptiveReadPolicy, WaveSlot};
+use robustore_schemes::WaveSlot;
 use robustore_simkit::rng::uniform01;
 use robustore_simkit::SeedSequence;
 
@@ -84,36 +84,22 @@ pub struct SystemConfig {
     /// disk accepts the write; redirected — with a metadata commit —
     /// otherwise). Best-effort: repair never fails a successful read.
     pub read_repair: bool,
-    /// Dispatch backend operations through per-disk shards, each behind
-    /// its own lock, so concurrent accesses touching different disks
-    /// proceed in parallel (see [`crate::sharded`]). `false` forces the
-    /// whole backend behind one lock — the single-lock oracle the
-    /// differential tests compare against. Committed state is identical
-    /// either way.
-    pub sharded: bool,
-    /// Group commit: how many consecutive same-disk writes the write
-    /// pipeline may batch into one shard-lock acquisition
+    /// Group commit: how many contiguous queued writes — from any access
+    /// — one disk dispatch of the I/O ring ([`crate::ring`]) may coalesce
+    /// into one shard-lock acquisition
     /// ([`crate::backend::DiskShard::commit_batch`]). `0` or `1`
     /// disables batching. The backend sees every write in the same
     /// order at any setting, so committed state is byte-identical.
     pub group_commit: usize,
-    /// Drive backend I/O through the async per-disk submission/completion
-    /// ring (see [`crate::ring`]): one worker per disk services queued
-    /// ops, writes coalesce across accesses into one group-commit
-    /// dispatch, and speculative reads are *cancelled in the queue* once
-    /// decode succeeds — so one client thread keeps many accesses in
-    /// flight. `false` keeps the blocking per-call path, which the
-    /// differential suites use as the oracle: committed state is
-    /// byte-identical either way.
-    pub io_ring: bool,
-    /// How ring reads schedule their speculative block requests:
+    /// How reads schedule their speculative block requests:
     /// [`ReadPolicy::Adaptive`] (the default) sizes staged waves from the
     /// decoder's expected need and orders them by live per-disk load
     /// ([`IoRing::load_map`]); [`ReadPolicy::Static`] requests every
     /// stored block up front in nominal arrival order — the differential
     /// oracle. Decoded bytes are identical under either policy; only
-    /// disk pressure and tail latency differ. The blocking path has no
-    /// telemetry, so it always behaves statically.
+    /// disk pressure and tail latency differ. A stepped system
+    /// ([`System::stepped`]) has no telemetry, so there reads always
+    /// behave statically.
     pub read_policy: ReadPolicy,
     /// The durable metadata plane (see [`crate::metastore`]): the
     /// namespace hash-sharded across WAL-backed, quorum-replicated
@@ -136,9 +122,8 @@ pub struct ReadRetry {
     /// block is demoted to missing. Minimum 1.
     pub attempts: u32,
     /// Base backoff before the second attempt, microseconds; doubles per
-    /// further attempt, scaled by a deterministic seeded jitter in
-    /// [0.5, 1.5). `0` disables sleeping entirely (simulated backends
-    /// fail and recover instantly — tests stay fast).
+    /// further attempt. `0` disables sleeping entirely (simulated
+    /// backends fail and recover instantly — tests stay fast).
     pub backoff_micros: u64,
 }
 
@@ -183,9 +168,7 @@ impl Default for SystemConfig {
             pipeline_depth: default_pipeline_depth(),
             read_retry: ReadRetry::default(),
             read_repair: true,
-            sharded: true,
             group_commit: default_group_commit(),
-            io_ring: true,
             read_policy: ReadPolicy::default(),
             metastore: Some(MetastoreConfig::default()),
         }
@@ -195,14 +178,13 @@ impl Default for SystemConfig {
 struct SystemInner {
     config: SystemConfig,
     meta: Mutex<MetaPlane>,
-    /// The sharded submission layer: locking is per disk (or whole-backend
-    /// in the single-lock fallback) and *internal*, so accesses touching
-    /// different disks never exclude each other here. Shared with the
-    /// ring workers, hence the `Arc`.
+    /// The sharded submission layer: locking is per disk and *internal*,
+    /// so accesses touching different disks never exclude each other
+    /// here. Shared with the ring, hence the `Arc`.
     backend: Arc<ShardedBackend>,
-    /// The async submission/completion ring over `backend`
-    /// (`config.io_ring`); `None` keeps the blocking per-call path.
-    ring: Option<IoRing>,
+    /// The per-disk submission/completion ring over `backend`: every
+    /// client read, write, update, delete and scrub fetch goes through it.
+    ring: IoRing,
     admission: Mutex<Vec<AdmissionController>>,
     authority: Mutex<KeyAuthority>,
     /// Recycled read buffers shared across accesses (one size at a time;
@@ -226,8 +208,33 @@ impl System {
     }
 
     /// Stand up a system over any [`StorageBackend`] (e.g. the durable
-    /// [`crate::file_backend::FileBackend`]).
+    /// [`crate::file_backend::FileBackend`]), with the threaded I/O ring:
+    /// one worker per disk.
+    ///
+    /// # Panics
+    ///
+    /// If the backend breaks the [`StorageBackend::try_shard`] contract
+    /// (no split into one shard per disk).
     pub fn with_backend(backend: Box<dyn StorageBackend + Send>, config: SystemConfig) -> Self {
+        Self::build(backend, config, IoRing::start)
+    }
+
+    /// [`System::with_backend`] on the stepped ring executor
+    /// ([`IoRing::stepped`]): no worker threads; the client thread waiting
+    /// for a completion services one dispatch at a time, oldest first.
+    /// A single client thread then sees a fully deterministic schedule —
+    /// exact fault-budget and retry counts, no speculative op serviced
+    /// past a decode point — and no load telemetry. Tests and benchmarks
+    /// use it as the reference executor.
+    pub fn stepped(backend: Box<dyn StorageBackend + Send>, config: SystemConfig) -> Self {
+        Self::build(backend, config, IoRing::stepped)
+    }
+
+    fn build(
+        backend: Box<dyn StorageBackend + Send>,
+        config: SystemConfig,
+        executor: fn(Arc<ShardedBackend>, RingConfig) -> IoRing,
+    ) -> Self {
         let mut meta = match &config.metastore {
             Some(mc) => MetaPlane::Durable(Box::new(
                 Metastore::new(mc.clone()).expect("metastore replicas must be openable"),
@@ -249,17 +256,15 @@ impl System {
                 availability: if id % 2 == 0 { 0.999 } else { 0.95 },
             });
         }
-        let backend = Arc::new(ShardedBackend::new(backend, config.sharded));
-        let ring = config.io_ring.then(|| {
-            IoRing::start(
-                backend.clone(),
-                RingConfig {
-                    group_commit: config.group_commit,
-                    read_attempts: config.read_retry.attempts,
-                    backoff_micros: config.read_retry.backoff_micros,
-                },
-            )
-        });
+        let backend = Arc::new(ShardedBackend::new(backend));
+        let ring = executor(
+            backend.clone(),
+            RingConfig {
+                group_commit: config.group_commit,
+                read_attempts: config.read_retry.attempts,
+                backoff_micros: config.read_retry.backoff_micros,
+            },
+        );
         System {
             inner: Arc::new(SystemInner {
                 config,
@@ -336,16 +341,15 @@ impl System {
     }
 
     /// Whether backend dispatch is sharded per disk (see
-    /// [`crate::sharded`]); `false` means the single-lock fallback.
+    /// [`crate::sharded`]). Always true: every backend shards.
     pub fn is_sharded(&self) -> bool {
-        self.inner.backend.is_sharded()
+        true
     }
 
-    /// Whether backend I/O runs through the async submission/completion
-    /// ring (see [`crate::ring`]); `false` means the blocking per-call
-    /// path the differential suites use as the oracle.
+    /// Whether backend I/O runs through the submission/completion ring
+    /// (see [`crate::ring`]). Always true: the ring is the only I/O path.
     pub fn uses_io_ring(&self) -> bool {
-        self.inner.ring.is_some()
+        true
     }
 
     /// Bytes stored on one disk (backend accounting; orphan detection in
@@ -365,6 +369,16 @@ impl System {
         self.inner.backend.num_disks()
     }
 
+    /// Raw stored bytes of block key `key` on `disk`, read straight from
+    /// the disk shard: no checksum verification, retry or read accounting
+    /// (fault injectors still apply). For audits and tests that compare
+    /// on-disk state with a reference model.
+    pub fn stored_block(&self, disk: usize, key: u64) -> Result<Vec<u8>, StoreError> {
+        let mut buf = Vec::new();
+        self.inner.backend.read_block_into(disk, key, &mut buf)?;
+        Ok(buf)
+    }
+
     /// Presence probe: does `disk` currently hold a readable copy of
     /// block key `key`? Not a read — counters and injected-fault budgets
     /// are untouched. The repair service's risk assessment runs on this,
@@ -373,9 +387,10 @@ impl System {
         self.inner.backend.has_block(disk, key)
     }
 
-    /// Live load snapshot from the I/O ring (`None` without the ring).
+    /// Live load snapshot from the I/O ring (empty on a stepped system).
+    /// Always `Some`.
     pub fn load_map(&self) -> Option<robustore_schemes::DiskLoadMap> {
-        self.inner.ring.as_ref().map(|r| r.load_map())
+        Some(self.inner.ring.load_map())
     }
 
     /// Read-buffer pool counters `(fresh_allocations, reuses)` — the
@@ -590,14 +605,13 @@ pub struct ReadReport {
     /// Damaged blocks re-encoded from the decoded data and re-placed on
     /// disks by read-repair during this access.
     pub blocks_repaired: usize,
-    /// Blocks the wave policy never requested: the decoder finished
-    /// before their wave came up. Unlike cancelled blocks these never
-    /// entered a disk queue at all. Always 0 under the static policy and
-    /// on the blocking path.
+    /// Blocks never requested: the decoder finished before their wave
+    /// came up or the submission window reached them. Unlike cancelled
+    /// blocks these never entered a disk queue at all.
     pub blocks_deferred: usize,
     /// Submission waves issued (1 = the first wave sufficed; each stall
     /// or deadline-budget extension adds one). Always 1 under the static
-    /// policy and on the blocking path.
+    /// policy.
     pub waves: usize,
 }
 
@@ -886,127 +900,58 @@ impl Client {
             // leaves the encoder, whatever disk it eventually lands on.
             let mut checksums: BTreeMap<u32, u32> = BTreeMap::new();
 
-            let result = if let Some(ring) = self.system.inner.ring.as_ref() {
-                // Ring path: writes stream into the per-disk queues with
-                // a bounded window; the workers coalesce them — and any
-                // concurrent access's writes — into cross-access group
-                // commits. Outcomes are consumed strictly in job order
-                // (the ring writer's reorder buffer), so the bookkeeping
-                // matches the blocking group-commit loop below exactly.
-                // The window stays small on purpose: a lone writer keeps
-                // near-blocking cadence while overlapped writers fill
-                // the workers' batches.
-                let batch_cap = self.system.inner.config.group_commit.max(1);
-                let window = (2 * batch_cap)
-                    .max(self.system.inner.config.pipeline_depth)
-                    .max(4);
-                let access = self.system.next_access_id();
-                let mut writer = RingWriter::new(ring, access, window);
-                let mut on_write = |tag: u64, outcome: WriteOutcome| -> Result<(), StoreError> {
-                    let (slot, disk, coded) = jobs[tag as usize];
-                    match outcome {
-                        WriteOutcome::Done => {
-                            kept[slot].push(coded);
-                            written.push((disk, gen_key(file_id, coded, new_odd.contains(&coded))));
-                            Ok(())
-                        }
-                        WriteOutcome::Refused { data, .. } => {
-                            displaced.push((coded, data));
-                            Ok(())
-                        }
-                        WriteOutcome::Fault(e) => Err(e),
-                        WriteOutcome::Aborted { disk } => Err(StoreError::DiskFault { disk }),
+            // Writes stream into the per-disk queues with a bounded
+            // window (encode workers run ahead of this consumer by at
+            // most `pipeline_depth` blocks); each disk dispatch coalesces
+            // them — and any concurrent access's writes — into group
+            // commits. Outcomes are consumed strictly in job order (the
+            // writer's reorder buffer), so the bookkeeping never depends
+            // on completion timing. The window stays small on purpose: a
+            // lone writer keeps near-serial cadence while overlapped
+            // writers fill the dispatches' batches. Rateless writing
+            // routes around refusing disks (§4.1.1): a rejected block is
+            // set aside for redirection, anything worse aborts the access.
+            let batch_cap = self.system.inner.config.group_commit.max(1);
+            let window = (2 * batch_cap)
+                .max(self.system.inner.config.pipeline_depth)
+                .max(4);
+            let access = self.system.next_access_id();
+            let mut writer = RingWriter::new(&self.system.inner.ring, access, window);
+            let mut on_write = |tag: u64, outcome: WriteOutcome| -> Result<(), StoreError> {
+                let (slot, disk, coded) = jobs[tag as usize];
+                match outcome {
+                    WriteOutcome::Done => {
+                        kept[slot].push(coded);
+                        written.push((disk, gen_key(file_id, coded, new_odd.contains(&coded))));
+                        Ok(())
                     }
-                };
-                let r = encode_write_pipelined(
-                    &code,
-                    blocks,
-                    &job_ids,
-                    self.system.inner.config.encode_threads,
-                    self.system.inner.config.pipeline_depth,
-                    |idx, coded, data| {
-                        let (_, disk, _) = jobs[idx];
-                        let key = gen_key(file_id, coded, new_odd.contains(&coded));
-                        checksums.insert(coded, crc32c(&data));
-                        writer.submit(disk, key, data, &mut on_write)
-                    },
-                )
-                .and_then(|()| writer.finish(&mut on_write));
-                if r.is_err() {
-                    // Revoke still-queued writes and fold any that landed
-                    // anyway into the rollback set.
-                    writer.drain_aborted(&mut written);
+                    WriteOutcome::Refused { data, .. } => {
+                        displaced.push((coded, data));
+                        Ok(())
+                    }
+                    WriteOutcome::Fault(e) => Err(e),
+                    WriteOutcome::Aborted { disk } => Err(StoreError::DiskFault { disk }),
                 }
-                r
-            } else {
-                // Group commit: consecutive same-disk writes park here and
-                // go to the shard under one lock acquisition. A batch
-                // flushes when the job stream moves to another disk, when
-                // it reaches the configured bound, and once more at the
-                // end — so the backend still sees every write in exact job
-                // order and the failure semantics match unbatched writes
-                // (the batch stops at the first hard fault, like a
-                // write-per-lock loop).
-                let batch_cap = self.system.inner.config.group_commit.max(1);
-                let mut pending: Vec<(usize, u32, u64, Block)> = Vec::new();
-                let mut pending_disk = usize::MAX;
-
-                // Bounded producer/consumer pipeline: encode workers run
-                // ahead of this consumer by at most `pipeline_depth`
-                // blocks while the backend write (the disk I/O) happens
-                // here, in job order. Rateless writing routes around
-                // refusing disks (§4.1.1): a rejected block is set aside
-                // for redirection, anything worse aborts the access.
-                encode_write_pipelined(
-                    &code,
-                    blocks,
-                    &job_ids,
-                    self.system.inner.config.encode_threads,
-                    self.system.inner.config.pipeline_depth,
-                    |idx, coded, data| {
-                        let (slot, disk, _) = jobs[idx];
-                        let key = gen_key(file_id, coded, new_odd.contains(&coded));
-                        checksums.insert(coded, crc32c(&data));
-                        if disk != pending_disk && !pending.is_empty() {
-                            flush_batch(
-                                backend,
-                                pending_disk,
-                                std::mem::take(&mut pending),
-                                &mut kept,
-                                &mut written,
-                                &mut displaced,
-                            )?;
-                        }
-                        pending_disk = disk;
-                        pending.push((slot, coded, key, data));
-                        if pending.len() >= batch_cap {
-                            flush_batch(
-                                backend,
-                                disk,
-                                std::mem::take(&mut pending),
-                                &mut kept,
-                                &mut written,
-                                &mut displaced,
-                            )?;
-                        }
-                        Ok(())
-                    },
-                )
-                .and_then(|()| {
-                    if pending.is_empty() {
-                        Ok(())
-                    } else {
-                        flush_batch(
-                            backend,
-                            pending_disk,
-                            pending,
-                            &mut kept,
-                            &mut written,
-                            &mut displaced,
-                        )
-                    }
-                })
             };
+            let result = encode_write_pipelined(
+                &code,
+                blocks,
+                &job_ids,
+                self.system.inner.config.encode_threads,
+                self.system.inner.config.pipeline_depth,
+                |idx, coded, data| {
+                    let (_, disk, _) = jobs[idx];
+                    let key = gen_key(file_id, coded, new_odd.contains(&coded));
+                    checksums.insert(coded, crc32c(&data));
+                    writer.submit(disk, key, data, &mut on_write)
+                },
+            )
+            .and_then(|()| writer.finish(&mut on_write));
+            if result.is_err() {
+                // Revoke still-queued writes and fold any that landed
+                // anyway into the rollback set.
+                writer.drain_aborted(&mut written);
+            }
             if let Err(e) = result {
                 delete_written(backend, &written);
                 return Err(e);
@@ -1104,52 +1049,18 @@ impl Client {
         &self,
         handle: &FileHandle,
     ) -> Result<(Vec<u8>, ReadReport), StoreError> {
-        if self.system.inner.ring.is_some() {
-            return self
-                .read_many(&[handle])
-                .pop()
-                .expect("one result per handle");
-        }
-        if handle.closed {
-            return Err(StoreError::StaleHandle);
-        }
-        let meta = handle.meta.as_ref().ok_or(StoreError::StaleHandle)?;
-        let spec = &meta.coding;
-        let code = LtCode::plan(spec.k, spec.n, spec.params, spec.seed)?;
-        let block_len = spec.block_bytes as usize;
-        // Borrow the system's recycled-buffer pool for this access; every
-        // fetched buffer returns to it (decoded or spare) so repeated
-        // reads are allocation-free after the first.
-        let mut pool = match self.system.inner.pool.lock().take() {
-            Some(p) if p.block_len() == block_len => p,
-            _ => BlockPool::new(block_len),
-        };
-        let result = self.read_inner(meta, &code, block_len, &mut pool);
-        // Hand the pool back on *every* exit — success, decode failure, or
-        // a hard backend error — so buffers and counters never leak.
-        // Concurrent reads each run on their own pool (the lock is never
-        // held across I/O); merging instead of overwriting keeps every
-        // buffer and every counter — accounting stays exact no matter how
-        // many readers overlapped.
-        {
-            let mut slot = self.system.inner.pool.lock();
-            match slot.as_mut() {
-                Some(existing) if existing.block_len() == block_len => existing.absorb(pool),
-                _ => *slot = Some(pool),
-            }
-        }
-        result
+        self.read_many(&[handle])
+            .pop()
+            .expect("one result per handle")
     }
 
-    /// Read several files at once from one client thread. With the I/O
-    /// ring on (`SystemConfig::io_ring`), every access is kept in flight
-    /// simultaneously: block requests stream into the per-disk queues in
-    /// each file's virtual-arrival order, completions are consumed in
-    /// per-access order, and the moment an access decodes, its
-    /// still-queued requests are revoked before the disks service them.
-    /// Results come back in handle order; each access succeeds or fails
-    /// independently. Without the ring this is a sequential loop over
-    /// [`Client::read_with_report`].
+    /// Read several files at once from one client thread. Every access is
+    /// kept in flight simultaneously: block requests stream into the
+    /// per-disk queues in each file's wave schedule, completions are
+    /// consumed in per-access order, and the moment an access decodes,
+    /// its still-queued requests are revoked before the disks service
+    /// them. Results come back in handle order; each access succeeds or
+    /// fails independently.
     pub fn read_many(
         &self,
         handles: &[&FileHandle],
@@ -1171,10 +1082,7 @@ impl Client {
     /// `i` submits its first request (the tail-latency harness feeds
     /// Poisson offsets here; `None` starts everything at once). Offsets
     /// pace submission only — completions of early accesses are serviced
-    /// while later ones wait. Without the ring, accesses run sequentially
-    /// in handle order (sleeping to each arrival offset first), so a slow
-    /// access delays later arrivals — the closed-loop caveat the ring
-    /// reactor exists to avoid. Accesses with different block sizes are
+    /// while later ones wait. Accesses with different block sizes are
     /// driven as separate sequential reactor batches; open-loop pacing is
     /// only meaningful within one batch.
     pub fn read_many_with(
@@ -1185,16 +1093,6 @@ impl Client {
     ) {
         let t0 = std::time::Instant::now();
         let arrival_of = |i: usize| arrivals.map_or(0, |offs| offs.get(i).copied().unwrap_or(0));
-        if self.system.inner.ring.is_none() {
-            for (i, h) in handles.iter().enumerate() {
-                let at = std::time::Duration::from_micros(arrival_of(i));
-                if let Some(wait) = at.checked_sub(t0.elapsed()) {
-                    std::thread::sleep(wait);
-                }
-                sink(i, self.read_with_report(h));
-            }
-            return;
-        }
         // Group valid handles by block size: the buffer pool holds one
         // size at a time, so each group runs as one reactor batch.
         let mut groups: BTreeMap<usize, Vec<usize>> = BTreeMap::new();
@@ -1243,12 +1141,13 @@ impl Client {
     /// the decode point (hence the committed state and the report
     /// counters) depends only on the schedule, never on completion
     /// timing. Under [`ReadPolicy::Static`] — or adaptive with quiescent
-    /// telemetry — the schedule is the nominal arrival order, the whole
-    /// file is one wave, and the reactor behaves exactly like the
-    /// blocking oracle. Under load, adaptive accesses submit a first
-    /// wave of `⌈k·(1+ε)⌉` blocks and extend by `topup` entries whenever
-    /// their outstanding completions run dry before decode (stall) or
-    /// the deadline budget slips. On decode success the access's queued
+    /// or absent telemetry — the schedule is the nominal arrival order
+    /// and the whole file is one wave; on the stepped executor a lone
+    /// access then fetches exactly the arrival-order prefix its decoder
+    /// needs, one block at a time. Under load, adaptive accesses submit a
+    /// first wave of `⌈k·(1+ε)⌉` blocks and extend by `topup` entries
+    /// whenever their outstanding completions run dry before decode
+    /// (stall) or the deadline budget slips. On decode success the access's queued
     /// ops are revoked ([`IoRing::cancel`]); completions for ops the
     /// disks had already started are drained and their buffers recycled.
     /// Each job is `(handle_index, meta, arrival_micros)`; results go to
@@ -1262,7 +1161,7 @@ impl Client {
         sink: &mut impl FnMut(usize, Result<(Vec<u8>, ReadReport), StoreError>),
     ) {
         use std::time::{Duration, Instant};
-        let ring = self.system.inner.ring.as_ref().expect("ring mode");
+        let ring = &self.system.inner.ring;
         let backend = &self.system.inner.backend;
         let policy = self.system.inner.config.read_policy;
         // Disk availabilities for the wave policy's mixing rule, indexed
@@ -1420,9 +1319,11 @@ impl Client {
                     st.retries += retries;
                     match result {
                         Ok(()) => {
-                            // Same integrity gate as the blocking path:
-                            // short or checksum-failing blocks demote to
-                            // missing; digest-less blocks pass unverified.
+                            // Integrity gate: a block that fails its
+                            // recorded digest — or arrives short (torn
+                            // read) — is silent corruption, demoted to
+                            // missing. Blocks with no recorded digest
+                            // (pre-checksum metadata) pass unverified.
                             let accepted = if buf.len() != block_len {
                                 st.corrupt += 1;
                                 false
@@ -1456,9 +1357,9 @@ impl Client {
                                 recycle(pool, buf, block_len);
                             }
                         }
-                        // The worker spent the retry budget (transient) or
-                        // the block is gone: demoted to missing, exactly
-                        // like the blocking retry loop's exhaustion path.
+                        // The ring spent the retry budget (transient) or
+                        // the block is gone: demoted to missing. The
+                        // redundancy absorbs it (§4.1.3).
                         Err(StoreError::TransientIo { .. })
                         | Err(StoreError::MissingBlock { .. }) => {
                             st.missing += 1;
@@ -1585,9 +1486,10 @@ impl Client {
                     top_up(st, ring, &tx, pool);
                 }
                 if st.resolved() {
-                    // Finalize exactly as the blocking tail does, then
-                    // emit and free the state (buffers recycle now, not
-                    // at batch end — bounded memory for huge batches).
+                    // Finalize (peel, then the GE fallback; only rank
+                    // deficiency fails), then emit and free the state
+                    // (buffers recycle now, not at batch end — bounded
+                    // memory for huge batches).
                     let st = states[si].take().expect("checked above");
                     let i = jobs[si].0;
                     let ReadState {
@@ -1671,17 +1573,7 @@ impl Client {
                 })
                 .min();
             let c = if outstanding {
-                match timer {
-                    Some(at) => {
-                        let wait = at.saturating_duration_since(Instant::now());
-                        match rx.recv_timeout(wait) {
-                            Ok(c) => Some(c),
-                            Err(std::sync::mpsc::RecvTimeoutError::Timeout) => None,
-                            Err(e) => unreachable!("ring workers outlive the accesses: {e}"),
-                        }
-                    }
-                    None => Some(rx.recv().expect("ring workers outlive the accesses")),
-                }
+                ring.wait(&rx, timer)
             } else {
                 let at = timer.expect("unresolved access with no work has a timer");
                 std::thread::sleep(at.saturating_duration_since(Instant::now()));
@@ -1702,180 +1594,6 @@ impl Client {
                 top_up(st, ring, &tx, pool);
             }
         }
-    }
-
-    fn read_inner(
-        &self,
-        meta: &FileMeta,
-        code: &LtCode,
-        block_len: usize,
-        pool: &mut BlockPool,
-    ) -> Result<(Vec<u8>, ReadReport), StoreError> {
-        let spec = &meta.coding;
-        let mut decoder = LtDecoder::new(code, block_len);
-
-        let backend = &self.system.inner.backend;
-        let order = arrival_order(meta, backend);
-
-        let retry = self.system.inner.config.read_retry;
-        let max_attempts = retry.attempts.max(1);
-        // Deterministic backoff jitter: seeded by file identity so a
-        // replay under the same fault plan sleeps the same schedule.
-        let mut backoff_rng = SeedSequence::new(
-            meta.file_id
-                .wrapping_mul(0x9E37_79B9_7F4A_7C15)
-                .wrapping_add(meta.version),
-        )
-        .fork("read-backoff", 0);
-
-        let mut fetched = 0usize;
-        let mut transient_retries = 0u64;
-        let mut missing = 0usize;
-        let mut corrupt = 0usize;
-        let mut unverified = 0usize;
-        // Ids the layout stores but the read could not use (missing or
-        // failed verification) — the read-repair candidates.
-        let mut bad: BTreeSet<u32> = BTreeSet::new();
-        // Ids fetched and verified good — exempt from the repair audit.
-        let mut good: BTreeSet<u32> = BTreeSet::new();
-        let mut fatal: Option<StoreError> = None;
-        {
-            // Shard-scoped access: each block fetch locks only its own
-            // disk's shard (inside the router), so concurrent readers and
-            // writers on other disks proceed in parallel.
-            'fetch: for (slot, idx) in order {
-                let (disk, ids) = &meta.layout[slot];
-                let coded = ids[idx];
-                // Degraded read: an unreadable block (offline server, lost
-                // sector) is simply a block that never arrives — the
-                // redundancy absorbs it (§4.1.3). Skip to the disk's next
-                // block; decoding fails only if no sufficient subset
-                // remains anywhere. Transient errors get a bounded retry
-                // first; only then is the block demoted to missing.
-                let mut buf = pool.get_scratch();
-                let (result, retries) = backend.read_block_retry(
-                    *disk,
-                    meta.block_key(coded),
-                    &mut buf,
-                    max_attempts,
-                    |attempt| {
-                        if retry.backoff_micros > 0 {
-                            let jitter = 0.5 + uniform01(&mut backoff_rng);
-                            let micros = (retry.backoff_micros << (attempt - 1)) as f64 * jitter;
-                            std::thread::sleep(std::time::Duration::from_micros(micros as u64));
-                        }
-                    },
-                );
-                transient_retries += retries;
-                let outcome = match result {
-                    Ok(()) => Ok(()),
-                    // Retries exhausted (transient) or the block is gone:
-                    // demoted to missing either way.
-                    Err(StoreError::TransientIo { .. }) | Err(StoreError::MissingBlock { .. }) => {
-                        Err(None)
-                    }
-                    Err(e) => Err(Some(e)),
-                };
-                match outcome {
-                    Ok(()) => {
-                        // Integrity gate: a block that fails its recorded
-                        // digest — or arrives short (torn read) — is silent
-                        // corruption, demoted to a missing block. Blocks
-                        // with no recorded digest (pre-checksum metadata)
-                        // are accepted but counted as unverified.
-                        let accepted = if buf.len() != block_len {
-                            corrupt += 1;
-                            false
-                        } else {
-                            match meta.checksums.get(&coded) {
-                                Some(&want) if crc32c(&buf) != want => {
-                                    corrupt += 1;
-                                    false
-                                }
-                                Some(_) => true,
-                                None => {
-                                    unverified += 1;
-                                    true
-                                }
-                            }
-                        };
-                        if accepted {
-                            fetched += 1;
-                            good.insert(coded);
-                            if decoder.receive(coded as usize, buf) {
-                                break; // completion: cancel everything still queued
-                            }
-                        } else {
-                            bad.insert(coded);
-                            buf.clear();
-                            buf.resize(block_len, 0);
-                            pool.put(buf);
-                        }
-                    }
-                    Err(None) => {
-                        missing += 1;
-                        bad.insert(coded);
-                        buf.clear();
-                        buf.resize(block_len, 0);
-                        pool.put(buf);
-                    }
-                    Err(Some(e)) => {
-                        buf.clear();
-                        buf.resize(block_len, 0);
-                        pool.put(buf);
-                        fatal = Some(e);
-                        break 'fetch;
-                    }
-                }
-            }
-        }
-        if let Some(e) = fatal {
-            pool.put_all(decoder.drain_all());
-            return Err(e);
-        }
-        // Every fetchable block is in. If the peel stalled, fall back to
-        // Gaussian elimination — the survivors may still span the data
-        // (see `LtDecoder::solve`); only rank deficiency fails the read.
-        let complete = decoder.is_complete() || decoder.solve();
-        pool.put_all(decoder.drain_spares());
-        if !complete {
-            pool.put_all(decoder.drain_all());
-            return Err(StoreError::Coding(
-                robustore_erasure::CodingError::DecodeFailed,
-            ));
-        }
-        let blocks = decoder.into_data().expect("complete decoder yields data");
-
-        // Read-repair: the decode just reconstructed everything the bad
-        // blocks encoded, so put them back while the data is in hand.
-        // Strictly best-effort — a successful read never fails here.
-        let repaired = if self.system.inner.config.read_repair && !bad.is_empty() {
-            self.try_read_repair(meta, code, &blocks, &bad, &good)
-        } else {
-            0
-        };
-
-        let mut out = Vec::with_capacity(meta.size_bytes as usize);
-        for b in blocks {
-            out.extend_from_slice(&b);
-            pool.put(b); // decoded buffers recycle too
-        }
-        out.truncate(meta.size_bytes as usize);
-        Ok((
-            out,
-            ReadReport {
-                blocks_fetched: fetched,
-                blocks_cancelled: meta.stored_blocks().saturating_sub(fetched),
-                reception_overhead: fetched as f64 / spec.k as f64 - 1.0,
-                transient_retries,
-                blocks_missing: missing,
-                blocks_corrupt: corrupt,
-                blocks_unverified: unverified,
-                blocks_repaired: repaired,
-                blocks_deferred: 0,
-                waves: 1,
-            },
-        ))
     }
 
     /// Best-effort read-repair. Re-encodes the coded blocks a read found
@@ -2083,67 +1801,43 @@ impl Client {
             // encode/write pipeline as the write path. An update has no
             // rateless slack (each block's disk is fixed by the layout),
             // so *any* write failure aborts and rolls back.
-            let result = if let Some(ring) = self.system.inner.ring.as_ref() {
-                let batch_cap = self.system.inner.config.group_commit.max(1);
-                let window = (2 * batch_cap)
-                    .max(self.system.inner.config.pipeline_depth)
-                    .max(4);
-                let access = self.system.next_access_id();
-                let mut writer = RingWriter::new(ring, access, window);
-                let mut on_write = |tag: u64, outcome: WriteOutcome| -> Result<(), StoreError> {
-                    let coded = dirty_coded[tag as usize];
-                    match outcome {
-                        WriteOutcome::Done => {
-                            let key = gen_key(meta.file_id, coded, new_odd.contains(&coded));
-                            written.push((disk_of[&coded], key));
-                            Ok(())
-                        }
-                        // No rateless slack on an update: a refusal aborts,
-                        // exactly like the blocking path.
-                        WriteOutcome::Refused { error, .. } => Err(error),
-                        WriteOutcome::Fault(e) => Err(e),
-                        WriteOutcome::Aborted { disk } => Err(StoreError::DiskFault { disk }),
+            let batch_cap = self.system.inner.config.group_commit.max(1);
+            let window = (2 * batch_cap)
+                .max(self.system.inner.config.pipeline_depth)
+                .max(4);
+            let access = self.system.next_access_id();
+            let mut writer = RingWriter::new(&self.system.inner.ring, access, window);
+            let mut on_write = |tag: u64, outcome: WriteOutcome| -> Result<(), StoreError> {
+                let coded = dirty_coded[tag as usize];
+                match outcome {
+                    WriteOutcome::Done => {
+                        let key = gen_key(meta.file_id, coded, new_odd.contains(&coded));
+                        written.push((disk_of[&coded], key));
+                        Ok(())
                     }
-                };
-                let r = encode_write_pipelined(
-                    &code,
-                    &blocks,
-                    &dirty_coded,
-                    self.system.inner.config.encode_threads,
-                    self.system.inner.config.pipeline_depth,
-                    |_, coded, data| {
-                        let disk = disk_of[&coded];
-                        let key = gen_key(meta.file_id, coded, new_odd.contains(&coded));
-                        new_checksums.insert(coded, crc32c(&data));
-                        writer.submit(disk, key, data, &mut on_write)
-                    },
-                )
-                .and_then(|()| writer.finish(&mut on_write));
-                if r.is_err() {
-                    writer.drain_aborted(&mut written);
+                    // No rateless slack on an update: a refusal aborts.
+                    WriteOutcome::Refused { error, .. } => Err(error),
+                    WriteOutcome::Fault(e) => Err(e),
+                    WriteOutcome::Aborted { disk } => Err(StoreError::DiskFault { disk }),
                 }
-                r
-            } else {
-                encode_write_pipelined(
-                    &code,
-                    &blocks,
-                    &dirty_coded,
-                    self.system.inner.config.encode_threads,
-                    self.system.inner.config.pipeline_depth,
-                    |_, coded, data| {
-                        let disk = disk_of[&coded];
-                        let key = gen_key(meta.file_id, coded, new_odd.contains(&coded));
-                        new_checksums.insert(coded, crc32c(&data));
-                        match backend.write_block(disk, key, data) {
-                            Ok(()) => {
-                                written.push((disk, key));
-                                Ok(())
-                            }
-                            Err(rw) => Err(rw.error),
-                        }
-                    },
-                )
             };
+            let result = encode_write_pipelined(
+                &code,
+                &blocks,
+                &dirty_coded,
+                self.system.inner.config.encode_threads,
+                self.system.inner.config.pipeline_depth,
+                |_, coded, data| {
+                    let disk = disk_of[&coded];
+                    let key = gen_key(meta.file_id, coded, new_odd.contains(&coded));
+                    new_checksums.insert(coded, crc32c(&data));
+                    writer.submit(disk, key, data, &mut on_write)
+                },
+            )
+            .and_then(|()| writer.finish(&mut on_write));
+            if result.is_err() {
+                writer.drain_aborted(&mut written);
+            }
             if let Err(e) = result {
                 delete_written(backend, &written);
                 return Err(e);
@@ -2177,39 +1871,29 @@ impl Client {
                 .meta
                 .clone()
                 .ok_or_else(|| StoreError::NotFound(name.into()))?;
-            {
-                let backend = &self.system.inner.backend;
-                if let Some(ring) = self.system.inner.ring.as_ref() {
-                    // Fan the deletes out across the per-disk queues and
-                    // wait for all of them (delete failures are ignored
-                    // either way: the block never landed or is gone).
-                    let access = self.system.next_access_id();
-                    let (tx, rx) = std::sync::mpsc::channel();
-                    let mut n = 0u64;
-                    for (disk, ids) in &meta.layout {
-                        for &id in ids {
-                            ring.submit(
-                                *disk,
-                                access,
-                                n,
-                                SubmitOp::Delete {
-                                    key: meta.block_key(id),
-                                },
-                                &tx,
-                            );
-                            n += 1;
-                        }
-                    }
-                    for _ in 0..n {
-                        let _ = rx.recv();
-                    }
-                } else {
-                    for (disk, ids) in &meta.layout {
-                        for &id in ids {
-                            let _ = backend.delete_block(*disk, meta.block_key(id));
-                        }
-                    }
+            // Fan the deletes out across the per-disk queues and wait for
+            // all of them (delete failures are ignored: the block never
+            // landed or is gone).
+            let ring = &self.system.inner.ring;
+            let access = self.system.next_access_id();
+            let (tx, rx) = std::sync::mpsc::channel();
+            let mut n = 0u64;
+            for (disk, ids) in &meta.layout {
+                for &id in ids {
+                    ring.submit(
+                        *disk,
+                        access,
+                        n,
+                        SubmitOp::Delete {
+                            key: meta.block_key(id),
+                        },
+                        &tx,
+                    );
+                    n += 1;
                 }
+            }
+            for _ in 0..n {
+                ring.wait(&rx, None);
             }
             self.system.inner.meta.lock().remove(name)?;
             Ok(())
@@ -2303,7 +1987,7 @@ impl Client {
                 bucket.acquire(bytes as u64);
             }
         };
-        let max_attempts = self.system.inner.config.read_retry.attempts.max(1);
+        let ring = &self.system.inner.ring;
         let mut decoder = LtDecoder::new(code, block_len);
         let mut verified: BTreeSet<u32> = BTreeSet::new();
         // Readable blocks not covered by the checksum map: id → CRC of the
@@ -2316,10 +2000,9 @@ impl Client {
         let mut complete = false;
         let backend = &self.system.inner.backend;
         {
-            // Shared acceptance ladder for one fetched (or failed) block —
-            // used verbatim by both fetch modes below, so their accounting
-            // is identical. Returns the buffer when it should be recycled
-            // (the decoder keeps accepted blocks until it completes).
+            // Acceptance ladder for one fetched (or failed) block. Returns
+            // the buffer when it should be recycled (the decoder keeps
+            // accepted blocks until it completes).
             let mut ingest =
                 |disk: usize, id: u32, read_ok: bool, buf: Vec<u8>| -> Option<Vec<u8>> {
                     let mut accepted = false;
@@ -2357,77 +2040,54 @@ impl Client {
                 buf.resize(block_len, 0);
                 pool.put(buf);
             };
-            if let Some(ring) = self.system.inner.ring.as_ref() {
-                // Ring fetch: a scrub visits *every* stored block (no
-                // cancellation), but the requests stream through the
-                // per-disk queues with a bounded window so all the file's
-                // disks service it in parallel. Completions are consumed
-                // strictly in job order, and the worker runs the same
-                // bounded transient retry (and counts the read), so the
-                // accounting matches the sequential loop below.
-                let jobs: Vec<(usize, u32)> = meta
-                    .layout
-                    .iter()
-                    .flat_map(|(d, ids)| ids.iter().map(move |&id| (*d, id)))
-                    .collect();
-                let window = (4 * meta.layout.len()).max(16);
-                let access = self.system.next_access_id();
-                let (tx, rx) = std::sync::mpsc::channel();
-                let mut submitted = 0usize;
-                let mut next = 0usize;
-                let mut parked: BTreeMap<u64, CompletionKind> = BTreeMap::new();
-                while next < jobs.len() {
-                    while submitted < jobs.len() && submitted - next < window {
-                        let (disk, id) = jobs[submitted];
-                        // The throttle paces *submission*: tokens are
-                        // charged before an op may enter the queue, so
-                        // repair I/O never bursts past the budget no
-                        // matter how deep the window is.
-                        charge(block_len);
-                        ring.submit_with(
-                            disk,
-                            access,
-                            submitted as u64,
-                            SubmitOp::Read {
-                                key: meta.block_key(id),
-                                buf: pool.get_scratch(),
-                            },
-                            priority,
-                            &tx,
-                        );
-                        submitted += 1;
-                    }
-                    let c = rx.recv().expect("ring workers outlive the access");
-                    parked.insert(c.tag, c.kind);
-                    while let Some(kind) = parked.remove(&(next as u64)) {
-                        let (disk, id) = jobs[next];
-                        next += 1;
-                        let CompletionKind::Read { result, buf, .. } = kind else {
-                            unreachable!("scrub submits only reads");
-                        };
-                        if let Some(buf) = ingest(disk, id, result.is_ok(), buf) {
-                            recycle(pool, buf);
-                        }
-                    }
+            // A scrub visits *every* stored block (no cancellation), but
+            // the requests stream through the per-disk queues with a
+            // bounded window so all the file's disks service it in
+            // parallel. Completions are consumed strictly in job order,
+            // and the ring runs the bounded transient retry (and counts
+            // the read).
+            let jobs: Vec<(usize, u32)> = meta
+                .layout
+                .iter()
+                .flat_map(|(d, ids)| ids.iter().map(move |&id| (*d, id)))
+                .collect();
+            let window = (4 * meta.layout.len()).max(16);
+            let access = self.system.next_access_id();
+            let (tx, rx) = std::sync::mpsc::channel();
+            let mut submitted = 0usize;
+            let mut next = 0usize;
+            let mut parked: BTreeMap<u64, CompletionKind> = BTreeMap::new();
+            while next < jobs.len() {
+                while submitted < jobs.len() && submitted - next < window {
+                    let (disk, id) = jobs[submitted];
+                    // The throttle paces *submission*: tokens are charged
+                    // before an op may enter the queue, so repair I/O
+                    // never bursts past the budget no matter how deep the
+                    // window is.
+                    charge(block_len);
+                    ring.submit_with(
+                        disk,
+                        access,
+                        submitted as u64,
+                        SubmitOp::Read {
+                            key: meta.block_key(id),
+                            buf: pool.get_scratch(),
+                        },
+                        priority,
+                        &tx,
+                    );
+                    submitted += 1;
                 }
-            } else {
-                for (disk, ids) in &meta.layout {
-                    for &id in ids {
-                        let mut buf = pool.get_scratch();
-                        charge(block_len);
-                        // Shared retry helper, no backoff sleep: scrub is
-                        // a background sweep and the simulated backends
-                        // recover instantly.
-                        let (result, _) = backend.read_block_retry(
-                            *disk,
-                            meta.block_key(id),
-                            &mut buf,
-                            max_attempts,
-                            |_| {},
-                        );
-                        if let Some(buf) = ingest(*disk, id, result.is_ok(), buf) {
-                            recycle(pool, buf);
-                        }
+                let c = ring.wait(&rx, None).expect("untimed waits always yield");
+                parked.insert(c.tag, c.kind);
+                while let Some(kind) = parked.remove(&(next as u64)) {
+                    let (disk, id) = jobs[next];
+                    next += 1;
+                    let CompletionKind::Read { result, buf, .. } = kind else {
+                        unreachable!("scrub submits only reads");
+                    };
+                    if let Some(buf) = ingest(disk, id, result.is_ok(), buf) {
+                        recycle(pool, buf);
                     }
                 }
             }
@@ -2496,11 +2156,7 @@ impl Client {
             // overtake. A refusal hands the payload back for the next
             // candidate disk; a hard fault consumes it and the block is
             // left for the next repair cycle.
-            let ring_bg = if opts.background {
-                self.system.inner.ring.as_ref()
-            } else {
-                None
-            };
+            let ring_bg = opts.background.then_some(ring);
             let place_access = ring_bg.map(|_| self.system.next_access_id());
             let place = |disk: usize, key: u64, data: Vec<u8>| -> Result<(), Option<Vec<u8>>> {
                 match ring_bg {
@@ -2514,7 +2170,8 @@ impl Client {
                             Priority::Background,
                             &wtx,
                         );
-                        match wrx.recv().expect("ring workers outlive the access").kind {
+                        let done = ring.wait(&wrx, None).expect("untimed waits always yield");
+                        match done.kind {
                             CompletionKind::Write(WriteOutcome::Done) => Ok(()),
                             CompletionKind::Write(WriteOutcome::Refused { data, .. }) => {
                                 Err(Some(data))
@@ -2539,19 +2196,14 @@ impl Client {
                 // default), then per-file balance, then lowest id.
                 // Refusals just move to the next candidate — best effort.
                 let mut order: Vec<usize> = (0..num_disks).collect();
-                match opts
-                    .load_aware
-                    .then(|| self.system.inner.ring.as_ref())
-                    .flatten()
-                {
-                    Some(ring) => {
-                        let lm = ring.load_map();
-                        order.sort_by_key(|&d| {
-                            let backlog = lm.get(d).map_or(0, |l| l.queued + l.in_flight);
-                            (backlog, count[d], d)
-                        });
-                    }
-                    None => order.sort_by_key(|&d| (count[d], d)),
+                if opts.load_aware {
+                    let lm = ring.load_map();
+                    order.sort_by_key(|&d| {
+                        let backlog = lm.get(d).map_or(0, |l| l.queued + l.in_flight);
+                        (backlog, count[d], d)
+                    });
+                } else {
+                    order.sort_by_key(|&d| (count[d], d));
                 }
                 let mut placed_on = None;
                 for &disk in &order {
@@ -2629,18 +2281,6 @@ impl Client {
     }
 }
 
-/// The virtual-arrival service order of a file's stored blocks: per-disk
-/// streams are merged by arrival time, block `idx` on a disk of speed `s`
-/// arriving at `(idx+1)·block_bytes/s` (BinaryHeap is a max-heap, so the
-/// merge orders by `Reverse` of time). This is the exact order the
-/// blocking read loop fetches in *and* the order the ring read reactor
-/// submits in — precomputable because the blocking loop always schedules
-/// a slot's successor regardless of the fetch outcome, so the two paths
-/// consume blocks in the same deterministic sequence.
-fn arrival_order(meta: &FileMeta, backend: &ShardedBackend) -> Vec<(usize, usize)> {
-    AdaptiveReadPolicy::static_schedule(&wave_slots(meta, backend, &[])).order
-}
-
 /// Describe a file's layout to the wave scheduler: one [`WaveSlot`] per
 /// layout entry, with the nominal per-block service time from the disk's
 /// catalogued speed. `avail` maps disk id → availability (empty when the
@@ -2657,15 +2297,14 @@ fn wave_slots(meta: &FileMeta, backend: &ShardedBackend, avail: &[f64]) -> Vec<W
         .collect()
 }
 
-/// Windowed write submitter over the [`IoRing`] — the write-path analogue
-/// of the blocking group-commit loop. Writes are submitted in job order
-/// with a bounded number in flight; completions are consumed strictly in
-/// tag (= job) order via a reorder buffer, so the caller's bookkeeping
-/// closure observes the exact sequence the blocking path would produce.
-/// The window is kept deliberately small: a lone writer stays close to
-/// the blocking path's cadence (cross-access fan-out is the read
+/// Windowed write submitter over the [`IoRing`]. Writes are submitted in
+/// job order with a bounded number in flight; completions are consumed
+/// strictly in tag (= job) order via a reorder buffer, so the caller's
+/// bookkeeping closure observes one deterministic sequence whatever the
+/// completion timing. The window is kept deliberately small: a lone
+/// writer stays close to serial cadence (cross-access fan-out is the read
 /// reactor's job), while overlapping writers still coalesce into the
-/// workers' cross-access batches.
+/// dispatches' cross-access batches.
 struct RingWriter<'a> {
     ring: &'a IoRing,
     access: u64,
@@ -2734,7 +2373,10 @@ impl<'a> RingWriter<'a> {
         &mut self,
         handle: &mut impl FnMut(u64, WriteOutcome) -> Result<(), StoreError>,
     ) -> Result<(), StoreError> {
-        let c = self.rx.recv().expect("ring workers outlive the access");
+        let c = self
+            .ring
+            .wait(&self.rx, None)
+            .expect("untimed waits always yield");
         self.received += 1;
         self.parked.insert(c.tag, c.kind);
         while let Some(kind) = self.parked.remove(&self.next) {
@@ -2766,7 +2408,10 @@ impl<'a> RingWriter<'a> {
     fn drain_aborted(mut self, written: &mut Vec<(usize, u64)>) {
         self.ring.cancel(self.access);
         while self.received < self.submitted {
-            let c = self.rx.recv().expect("ring workers outlive the access");
+            let c = self
+                .ring
+                .wait(&self.rx, None)
+                .expect("untimed waits always yield");
             self.received += 1;
             self.parked.insert(c.tag, c.kind);
         }
@@ -2785,47 +2430,6 @@ fn delete_written(backend: &ShardedBackend, written: &[(usize, u64)]) {
     for &(disk, key) in written {
         let _ = backend.delete_block(disk, key);
     }
-}
-
-/// Flush one group-commit batch to `disk`, folding each entry's outcome
-/// into the write-path bookkeeping exactly as an unbatched write loop
-/// would: success keeps the id in its layout slot and records the key for
-/// rollback, a refusal sets the block (with its bytes) aside for
-/// redirection, and a hard fault aborts the access — entries after it
-/// were never attempted, because [`crate::backend::DiskShard::commit_batch`]
-/// stops there, keeping fault budgets identical to unbatched writes.
-fn flush_batch(
-    backend: &ShardedBackend,
-    disk: usize,
-    batch: Vec<(usize, u32, u64, Block)>,
-    kept: &mut [Vec<u32>],
-    written: &mut Vec<(usize, u64)>,
-    displaced: &mut Vec<(u32, Block)>,
-) -> Result<(), StoreError> {
-    let tags: Vec<(usize, u32, u64)> = batch
-        .iter()
-        .map(|&(slot, coded, key, _)| (slot, coded, key))
-        .collect();
-    let results = backend.commit_batch(
-        disk,
-        batch
-            .into_iter()
-            .map(|(_, _, key, data)| (key, data))
-            .collect(),
-    );
-    for ((slot, coded, key), result) in tags.into_iter().zip(results) {
-        match result {
-            Ok(()) => {
-                kept[slot].push(coded);
-                written.push((disk, key));
-            }
-            Err(rw) => match rw.error {
-                StoreError::MissingBlock { .. } => displaced.push((coded, rw.data)),
-                e => return Err(e),
-            },
-        }
-    }
-    Ok(())
 }
 
 /// Encode the coded blocks named by `ids` on up to `threads` workers and
@@ -3484,17 +3088,16 @@ mod tests {
         use crate::chaos::ChaosBackend;
         let speeds: Vec<f64> = (0..8).map(|i| 10e6 + i as f64 * 6e6).collect();
         let (backend, switch) = ChaosBackend::new(InMemoryBackend::new(speeds));
-        let sys = System::with_backend(
+        // Stepped executor: this test asserts the *exact* injected-fault
+        // count, and with ring workers a queued write to the faulted disk
+        // may still be serviced (then rolled back) after the abort,
+        // consuming extra fault budget.
+        let sys = System::stepped(
             Box::new(backend),
             SystemConfig {
                 block_bytes: 4 << 10,
                 encode_threads: 4,
                 pipeline_depth: 8,
-                // Blocking path pinned: this test asserts the *exact*
-                // injected-fault count, and with the ring a queued write
-                // to the faulted disk may still be serviced (then rolled
-                // back) after the abort, consuming extra fault budget.
-                io_ring: false,
                 ..Default::default()
             },
         );
@@ -3556,6 +3159,51 @@ mod tests {
             client.open("ghost", AccessMode::Read, QosOptions::best_effort()),
             Err(StoreError::NotFound(_))
         ));
+    }
+
+    /// A backend that breaks the contract: it will not split into shards.
+    struct Unshardable(InMemoryBackend);
+
+    impl StorageBackend for Unshardable {
+        fn num_disks(&self) -> usize {
+            self.0.num_disks()
+        }
+
+        fn write_block(
+            &mut self,
+            disk: usize,
+            block: u64,
+            data: Vec<u8>,
+        ) -> Result<(), crate::backend::RefusedWrite> {
+            self.0.write_block(disk, block, data)
+        }
+
+        fn read_block(&self, disk: usize, block: u64) -> Result<Vec<u8>, StoreError> {
+            self.0.read_block(disk, block)
+        }
+
+        fn try_shard(&mut self) -> Option<Vec<Box<dyn crate::backend::DiskShard>>> {
+            None
+        }
+
+        fn delete_block(&mut self, disk: usize, block: u64) -> Result<(), StoreError> {
+            self.0.delete_block(disk, block)
+        }
+
+        fn disk_speed(&self, disk: usize) -> f64 {
+            self.0.disk_speed(disk)
+        }
+
+        fn disk_used(&self, disk: usize) -> u64 {
+            self.0.disk_used(disk)
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "StorageBackend::try_shard returned None")]
+    fn unshardable_backend_is_refused() {
+        let backend = Unshardable(InMemoryBackend::uniform(2, 10e6));
+        System::with_backend(Box::new(backend), SystemConfig::default());
     }
 
     #[test]

@@ -16,14 +16,12 @@ use std::path::{Path, PathBuf};
 use crate::backend::{DiskShard, RefusedWrite, StorageBackend};
 use crate::error::StoreError;
 
-/// Block storage rooted in a directory.
+/// Block storage rooted in a directory. Read/write counters, outages and
+/// fault injection live on its shards.
 #[derive(Debug)]
 pub struct FileBackend {
     root: PathBuf,
     speeds: Vec<f64>,
-    reads: u64,
-    writes: u64,
-    offline: Vec<bool>,
 }
 
 fn io_err(disk: usize, block: u64) -> StoreError {
@@ -65,20 +63,20 @@ impl FileBackend {
         for d in 0..speeds.len() {
             std::fs::create_dir_all(root.join(format!("disk-{d}"))).map_err(|_| io_err(d, 0))?;
         }
-        let n = speeds.len();
-        Ok(FileBackend {
-            root,
-            speeds,
-            reads: 0,
-            writes: 0,
-            offline: vec![false; n],
-        })
+        Ok(FileBackend { root, speeds })
     }
 
-    fn block_path(&self, disk: usize, block: u64) -> PathBuf {
-        self.root
-            .join(format!("disk-{disk}"))
-            .join(format!("{block:016x}.blk"))
+    /// Disk `disk`'s directory as a shard; `None` past the last disk.
+    /// Whole-backend calls go through it, so they share the shards' I/O.
+    fn shard(&self, disk: usize) -> Option<FileShard> {
+        Some(FileShard {
+            root: self.root.clone(),
+            disk,
+            speed: *self.speeds.get(disk)?,
+            offline: false,
+            reads: 0,
+            writes: 0,
+        })
     }
 
     /// Root directory of the store.
@@ -93,51 +91,24 @@ impl StorageBackend for FileBackend {
     }
 
     fn write_block(&mut self, disk: usize, block: u64, data: Vec<u8>) -> Result<(), RefusedWrite> {
-        if disk >= self.speeds.len() || self.offline[disk] {
-            return Err(RefusedWrite::new(io_err(disk, block), data));
+        match self.shard(disk) {
+            Some(mut shard) => shard.write_block(block, data),
+            None => Err(RefusedWrite::new(io_err(disk, block), data)),
         }
-        if std::fs::write(self.block_path(disk, block), &data).is_err() {
-            return Err(RefusedWrite::new(io_err(disk, block), data));
-        }
-        self.writes += 1;
-        Ok(())
     }
 
     fn read_block(&self, disk: usize, block: u64) -> Result<Vec<u8>, StoreError> {
-        if disk >= self.speeds.len() || self.offline[disk] {
-            return Err(io_err(disk, block));
-        }
-        std::fs::read(self.block_path(disk, block)).map_err(|_| io_err(disk, block))
-    }
-
-    /// Streams the file into `buf` (cleared first), reusing its capacity
-    /// instead of allocating a fresh vector per block.
-    fn read_block_into(
-        &self,
-        disk: usize,
-        block: u64,
-        buf: &mut Vec<u8>,
-    ) -> Result<(), StoreError> {
-        use std::io::Read as _;
-        if disk >= self.speeds.len() || self.offline[disk] {
-            return Err(io_err(disk, block));
-        }
-        let mut f =
-            std::fs::File::open(self.block_path(disk, block)).map_err(|_| io_err(disk, block))?;
-        buf.clear();
-        f.read_to_end(buf).map_err(|_| io_err(disk, block))?;
-        Ok(())
-    }
-
-    fn has_block(&self, disk: usize, block: u64) -> bool {
-        disk < self.speeds.len() && !self.offline[disk] && self.block_path(disk, block).is_file()
+        let mut buf = Vec::new();
+        self.shard(disk)
+            .ok_or(io_err(disk, block))?
+            .read_block_into(block, &mut buf)?;
+        Ok(buf)
     }
 
     fn delete_block(&mut self, disk: usize, block: u64) -> Result<(), StoreError> {
-        if disk >= self.speeds.len() {
-            return Err(io_err(disk, block));
-        }
-        std::fs::remove_file(self.block_path(disk, block)).map_err(|_| io_err(disk, block))
+        self.shard(disk)
+            .ok_or(io_err(disk, block))?
+            .delete_block(block)
     }
 
     fn disk_speed(&self, disk: usize) -> f64 {
@@ -145,99 +116,16 @@ impl StorageBackend for FileBackend {
     }
 
     fn disk_used(&self, disk: usize) -> u64 {
-        let dir = self.root.join(format!("disk-{disk}"));
-        std::fs::read_dir(dir)
-            .map(|entries| {
-                entries
-                    .filter_map(|e| e.ok())
-                    .filter_map(|e| e.metadata().ok())
-                    .map(|m| m.len())
-                    .sum()
-            })
-            .unwrap_or(0)
-    }
-
-    fn count_read(&mut self) {
-        self.reads += 1;
-    }
-
-    fn reads(&self) -> u64 {
-        self.reads
-    }
-
-    fn writes(&self) -> u64 {
-        self.writes
-    }
-
-    fn set_offline(&mut self, disk: usize, offline: bool) {
-        self.offline[disk] = offline;
-    }
-
-    /// At-rest bit rot on a durable store: flips one byte in each victim
-    /// block file in place (length and readability preserved). Victims
-    /// depend only on the disk's contents, `fraction`, and `seq`.
-    fn corrupt_random_blocks(
-        &mut self,
-        disk: usize,
-        fraction: f64,
-        seq: &robustore_simkit::SeedSequence,
-    ) -> Vec<u64> {
-        use robustore_simkit::rng::uniform01;
-        assert!((0.0..=1.0).contains(&fraction), "fraction in 0..=1");
-        let dir = self.root.join(format!("disk-{disk}"));
-        let mut keys: Vec<u64> = std::fs::read_dir(&dir)
-            .map(|entries| {
-                entries
-                    .filter_map(|e| e.ok())
-                    .filter_map(|e| {
-                        let name = e.file_name().into_string().ok()?;
-                        let hex = name.strip_suffix(".blk")?;
-                        u64::from_str_radix(hex, 16).ok()
-                    })
-                    .collect()
-            })
-            .unwrap_or_default();
-        keys.sort_unstable();
-        let mut rng = seq.fork("bit-rot", disk as u64);
-        let mut rotted = Vec::new();
-        for key in keys {
-            if uniform01(&mut rng) < fraction {
-                let path = self.block_path(disk, key);
-                let Ok(mut data) = std::fs::read(&path) else {
-                    continue;
-                };
-                if data.is_empty() {
-                    continue;
-                }
-                let pos = (uniform01(&mut rng) * data.len() as f64) as usize;
-                let last = data.len() - 1;
-                data[pos.min(last)] ^= 0x40;
-                if std::fs::write(&path, &data).is_ok() {
-                    rotted.push(key);
-                }
-            }
-        }
-        rotted
+        self.shard(disk).map_or(0, |shard| shard.used())
     }
 
     fn try_shard(&mut self) -> Option<Vec<Box<dyn DiskShard>>> {
         // One shard per disk directory. Shards never touch each other's
         // directories, so per-disk locking is safe on a shared root; the
         // `speeds` file is read-only after open.
-        Some(
-            (0..self.speeds.len())
-                .map(|disk| {
-                    Box::new(FileShard {
-                        root: self.root.clone(),
-                        disk,
-                        speed: self.speeds[disk],
-                        offline: self.offline[disk],
-                        reads: 0,
-                        writes: 0,
-                    }) as Box<dyn DiskShard>
-                })
-                .collect(),
-        )
+        (0..self.speeds.len())
+            .map(|disk| Some(Box::new(self.shard(disk)?) as Box<dyn DiskShard>))
+            .collect()
     }
 }
 
@@ -329,6 +217,9 @@ impl DiskShard for FileShard {
         self.offline = offline;
     }
 
+    /// At-rest bit rot on a durable store: flips one byte in each victim
+    /// block file in place (length and readability preserved). Victims
+    /// depend only on the disk's contents, `fraction`, and `seq`.
     fn corrupt_random_blocks(
         &mut self,
         fraction: f64,
@@ -350,8 +241,7 @@ impl DiskShard for FileShard {
             })
             .unwrap_or_default();
         keys.sort_unstable();
-        // Same rng stream as the unsharded backend (`fork("bit-rot", disk)`),
-        // so a seeded scenario rots the same victims either way.
+        // Same rng stream as the in-memory shards (`fork("bit-rot", disk)`).
         let mut rng = seq.fork("bit-rot", self.disk as u64);
         let mut rotted = Vec::new();
         for key in keys {
@@ -391,6 +281,16 @@ mod tests {
         std::env::temp_dir().join(unique)
     }
 
+    /// Split a store the way the system does and hand back its disks.
+    fn shards(mut b: FileBackend) -> Vec<Box<dyn DiskShard>> {
+        b.try_shard().expect("file backends shard")
+    }
+
+    fn read(disk: &dyn DiskShard, key: u64) -> Result<Vec<u8>, StoreError> {
+        let mut buf = Vec::new();
+        disk.read_block_into(key, &mut buf).map(|()| buf)
+    }
+
     #[test]
     fn roundtrip_and_usage() {
         let root = temp_root("rt");
@@ -398,13 +298,14 @@ mod tests {
         b.write_block(0, 7, vec![1, 2, 3]).unwrap();
         b.write_block(1, 8, vec![9; 100]).unwrap();
         assert_eq!(b.read_block(0, 7).unwrap(), vec![1, 2, 3]);
-        let mut buf = Vec::new();
-        b.read_block_into(0, 7, &mut buf).unwrap();
-        assert_eq!(buf, vec![1, 2, 3]);
         assert_eq!(b.disk_used(1), 100);
         b.delete_block(0, 7).unwrap();
         assert!(b.read_block(0, 7).is_err());
-        assert_eq!(b.writes(), 2);
+        let mut disks = shards(b);
+        assert_eq!(read(&*disks[1], 8).unwrap(), vec![9; 100]);
+        disks[0].write_block(9, vec![4; 10]).unwrap();
+        assert_eq!(read(&*disks[0], 9).unwrap(), vec![4; 10]);
+        assert_eq!((disks[0].used(), disks[0].writes()), (10, 1));
         std::fs::remove_dir_all(root).ok();
     }
 
@@ -437,17 +338,18 @@ mod tests {
         for key in 0..32u64 {
             b.write_block(0, key, vec![key as u8; 16]).unwrap();
         }
+        let mut disk = shards(b).swap_remove(0);
         let seq = SeedSequence::new(13);
-        let rotted = b.corrupt_random_blocks(0, 0.5, &seq);
+        let rotted = disk.corrupt_random_blocks(0.5, &seq);
         assert!(!rotted.is_empty() && rotted.len() < 32);
         assert!(rotted.windows(2).all(|w| w[0] < w[1]));
         for &key in &rotted {
-            let data = b.read_block(0, key).unwrap();
+            let data = read(&*disk, key).unwrap();
             assert_eq!(data.len(), 16, "rot must not change length");
             assert_ne!(data, vec![key as u8; 16]);
         }
         for key in (0..32).filter(|k| !rotted.contains(k)) {
-            assert_eq!(b.read_block(0, key).unwrap(), vec![key as u8; 16]);
+            assert_eq!(read(&*disk, key).unwrap(), vec![key as u8; 16]);
         }
         std::fs::remove_dir_all(root).ok();
     }
@@ -457,11 +359,13 @@ mod tests {
         let root = temp_root("offline");
         let mut b = FileBackend::open(&root, vec![10e6]).unwrap();
         b.write_block(0, 1, vec![1]).unwrap();
-        b.set_offline(0, true);
-        assert!(b.read_block(0, 1).is_err());
-        assert!(b.write_block(0, 2, vec![2]).is_err());
-        b.set_offline(0, false);
-        assert_eq!(b.read_block(0, 1).unwrap(), vec![1]);
+        let mut disk = shards(b).swap_remove(0);
+        disk.set_offline(true);
+        assert!(read(&*disk, 1).is_err());
+        assert!(!disk.has_block(1));
+        assert!(disk.write_block(2, vec![2]).is_err());
+        disk.set_offline(false);
+        assert_eq!(read(&*disk, 1).unwrap(), vec![1]);
         std::fs::remove_dir_all(root).ok();
     }
 }

@@ -22,13 +22,17 @@
 //! * [`qos`] — the QoS options of the `open` call (Appendix B).
 //! * [`backend`] — storage-server data plane; an in-memory implementation
 //!   with per-disk speeds stands in for remote filers.
-//! * [`sharded`] — the sharded submission layer: per-disk locks, routing
-//!   by disk id, and group commit, so concurrent accesses to different
-//!   disks proceed in parallel (the per-disk-queue regime of §5).
-//! * [`ring`] — the async per-disk submission/completion ring: one worker
-//!   per disk services queued ops, coalescing writes across accesses into
-//!   one group-commit dispatch, and speculative reads are cancelled in
-//!   the queue once decode succeeds (`SystemConfig::io_ring`).
+//! * [`sharded`] — the sharded submission layer: every backend splits
+//!   into per-disk shards, each behind its own lock, routed by disk id
+//!   with group commit, so concurrent accesses to different disks proceed
+//!   in parallel (the per-disk-queue regime of §5).
+//! * [`ring`] — the per-disk submission/completion ring, the one I/O
+//!   path: queued ops coalesce writes across accesses into one
+//!   group-commit dispatch, and speculative reads are cancelled in the
+//!   queue once decode succeeds. Production runs one worker per disk
+//!   ([`System::with_backend`]); tests also run the stepped executor
+//!   ([`System::stepped`]), where waiting threads service the queues
+//!   themselves in submission order.
 //! * [`chaos`] — a fault-injecting backend wrapper driven by seeded
 //!   write- and read-fault plans, for crash-consistency and
 //!   degraded-read testing.

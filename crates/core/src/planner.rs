@@ -45,7 +45,7 @@ impl ReadPolicy {
 
     /// Build the submission schedule for one access: `slots` describe the
     /// file's layout, `k` is the decoder's block need, `load` the live
-    /// ring telemetry (empty on the blocking path). Static policy — and
+    /// ring telemetry (empty on the stepped executor). Static policy — and
     /// adaptive with no telemetry — yield the request-everything schedule
     /// in nominal arrival order.
     pub fn schedule(&self, slots: &[WaveSlot], k: usize, load: &DiskLoadMap) -> WaveSchedule {

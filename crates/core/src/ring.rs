@@ -1,16 +1,15 @@
-//! Async per-disk submission/completion ring.
+//! Per-disk submission/completion ring: the one I/O path.
 //!
-//! PR 7 gave every disk its own lock; this module gives every disk its
-//! own *queue*. An [`IoRing`] spawns one worker thread per disk of a
-//! [`ShardedBackend`]; clients push [`SubmitOp`]s tagged with an access
-//! id and a per-access sequence tag, and receive [`Completion`]s on a
-//! channel they own. One client thread can therefore keep many accesses
-//! in flight at once — the per-disk-FIFO-queue regime of the MDS-queue
-//! model — instead of burning a thread per access on blocking calls.
+//! Every disk has its own *queue*. Clients push [`SubmitOp`]s tagged
+//! with an access id and a per-access sequence tag, and receive
+//! [`Completion`]s on a channel they own. One client thread can therefore
+//! keep many accesses in flight at once — the per-disk-FIFO-queue regime
+//! of the MDS-queue model — instead of burning a thread per access on
+//! blocking calls.
 //!
-//! Three properties define the ring's semantics:
+//! Four properties define the ring's semantics:
 //!
-//! * **Cross-access group commit.** A worker popping a write from its
+//! * **Cross-access group commit.** A dispatch popping a write from its
 //!   queue also pops the contiguous run of queued writes behind it — from
 //!   *any* access — up to the configured batch cap, and lands the run in
 //!   one [`ShardedBackend::commit_batch`] dispatch. Per-access submission
@@ -25,30 +24,39 @@
 //!   success" policy reclaim real disk time instead of just wall clock.
 //! * **Exactly one completion per submission.** Every submitted op
 //!   produces exactly one [`Completion`] — serviced or cancelled — so a
-//!   reactor can drive `received == submitted` without timeouts. Workers
-//!   drain their queues before honouring shutdown.
+//!   reactor can drive `received == submitted` without timeouts. Queues
+//!   are drained before the ring shuts down.
 //! * **Two scheduling classes.** Each disk keeps a foreground and a
 //!   background FIFO ([`Priority`]); background (repair/scrub) ops are
 //!   serviced only when no foreground op is queued, so a deep repair
 //!   backlog can never starve serving traffic. Background queue depth is
 //!   excluded from [`IoRing::load_map`]'s `queued` for the same reason.
 //!
-//! Workers share the blocking path's read-retry helper
-//! ([`ShardedBackend::read_block_retry`]) so that per-disk fault budgets
-//! and retry counters are consumed identically on both paths; the
-//! differential suites assert committed state byte-identical with the
-//! ring on and off.
+//! Two executors service the queues, and clients drive both through the
+//! same calls — [`IoRing::submit`], [`IoRing::cancel`] and
+//! [`IoRing::wait`]:
 //!
-//! Each worker also exports live load telemetry — queue depth, in-flight
-//! count, and an EWMA of per-op service time — behind the lock-free
-//! [`IoRing::load_map`] snapshot, which feeds the queue-aware
-//! [`robustore_schemes::AdaptiveReadPolicy`].
+//! * **Threaded** ([`IoRing::start`], the production path): one worker
+//!   thread per disk. Each worker exports live load telemetry — queue
+//!   depth, in-flight count, and an EWMA of per-op service time — behind
+//!   the lock-free [`IoRing::load_map`] snapshot, which feeds the
+//!   queue-aware [`robustore_schemes::AdaptiveReadPolicy`].
+//! * **Stepped** ([`IoRing::stepped`], the test executor): no worker
+//!   threads. A thread waiting for a completion services one dispatch
+//!   at a time itself, oldest submission first across disks, foreground
+//!   before background. A single-threaded client therefore sees every op
+//!   serviced in submission order and every op queued behind a decode
+//!   point revoked unserviced — a deterministic schedule that pins exact
+//!   fault-budget and retry counts. Its load map is empty, so reads
+//!   follow the static schedule. The differential suites compare the two
+//!   executors' committed state byte for byte.
 
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::mpsc::Sender;
+use std::sync::mpsc::{Receiver, RecvTimeoutError, Sender, TryRecvError};
 use std::sync::{Arc, Condvar, Mutex};
 use std::thread::JoinHandle;
+use std::time::{Duration, Instant};
 
 use robustore_schemes::{DiskLoad, DiskLoadMap};
 
@@ -63,8 +71,7 @@ pub struct RingConfig {
     /// Read attempts per op (>= 1); transient faults retry up to this.
     pub read_attempts: u32,
     /// Base backoff before a read retry, doubled per attempt. Plain
-    /// exponential (no jitter): the jittered sleep of the blocking path
-    /// is wall-clock-only behaviour, and workers must stay seed-free.
+    /// exponential, no jitter: the ring stays seed-free.
     pub backoff_micros: u64,
 }
 
@@ -159,7 +166,7 @@ pub struct Completion {
 /// the same disk, so a deep repair backlog can never starve serving
 /// traffic. Within a class the queue stays strictly FIFO, preserving the
 /// per-access ordering the group-commit contract relies on.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Default)]
 pub enum Priority {
     /// Client-facing traffic; serviced first. The default.
     #[default]
@@ -170,6 +177,9 @@ pub enum Priority {
 }
 
 struct Entry {
+    /// Ring-wide submission order; the stepped executor services the
+    /// lowest first.
+    seq: u64,
     access: u64,
     tag: u64,
     op: SubmitOp,
@@ -182,6 +192,48 @@ struct QueueState {
     /// Background FIFO (repair traffic).
     background: VecDeque<Entry>,
     shutdown: bool,
+    /// A stepped dispatch from this disk is being serviced: like a
+    /// worker, a disk services one dispatch at a time.
+    busy: bool,
+}
+
+impl QueueState {
+    /// Pop the next dispatch, as a worker would: strict priority (the
+    /// background queue only when no foreground op is queued), and a write
+    /// at the front takes the contiguous run of queued writes behind it,
+    /// from any access, up to `batch_cap`. Write runs coalesce within one
+    /// class, so a batch never smuggles background writes ahead of
+    /// foreground ones.
+    fn pop_dispatch(&mut self, batch_cap: usize) -> Option<(Vec<Entry>, Priority)> {
+        let (queue, priority) = if self.entries.is_empty() {
+            (&mut self.background, Priority::Background)
+        } else {
+            (&mut self.entries, Priority::Foreground)
+        };
+        let first = queue.pop_front()?;
+        let batching = matches!(first.op, SubmitOp::Write { .. });
+        let mut popped = vec![first];
+        while batching
+            && popped.len() < batch_cap
+            && matches!(queue.front().map(|e| &e.op), Some(SubmitOp::Write { .. }))
+        {
+            popped.push(queue.pop_front().expect("front checked"));
+        }
+        Some((popped, priority))
+    }
+
+    /// The stepped executor's key for this disk's next dispatch:
+    /// foreground before background, then oldest submission first.
+    fn next_key(&self) -> Option<(Priority, u64)> {
+        if self.busy {
+            return None;
+        }
+        match (self.entries.front(), self.background.front()) {
+            (Some(e), _) => Some((Priority::Foreground, e.seq)),
+            (None, Some(e)) => Some((Priority::Background, e.seq)),
+            (None, None) => None,
+        }
+    }
 }
 
 struct DiskQueue {
@@ -196,6 +248,7 @@ impl DiskQueue {
                 entries: VecDeque::new(),
                 background: VecDeque::new(),
                 shutdown: false,
+                busy: false,
             }),
             ready: Condvar::new(),
         }
@@ -209,8 +262,10 @@ const EWMA_ALPHA: f64 = 0.2;
 
 /// Live load counters for one disk, updated lock-free around queue and
 /// service events. `queued`/`in_flight` are multi-writer counters;
-/// `ewma_bits` (an `f64` as bits) has a single writer — the disk's
-/// worker — so plain relaxed load/store suffices.
+/// `ewma_bits` (an `f64` as bits) has a single writer at a time — the
+/// thread servicing the disk's one dispatch in flight, its worker or a
+/// stepped waiter holding the disk's `busy` flag (handed over under the
+/// queue mutex) — so plain relaxed load/store suffices.
 #[derive(Debug, Default)]
 struct DiskStat {
     /// Foreground queue depth. Background entries are tracked separately
@@ -244,8 +299,9 @@ impl DiskStat {
         }
     }
 
-    /// Fold a measured per-op service time (µs) into the EWMA. Worker
-    /// thread only (the seeded flag and bits are single-writer).
+    /// Fold a measured per-op service time (µs) into the EWMA. Only the
+    /// thread servicing the disk calls this (the seeded flag and bits are
+    /// single-writer).
     fn record_service(&self, micros: f64) {
         let new = if self.ewma_seeded.swap(1, Ordering::Relaxed) == 0 {
             micros
@@ -257,53 +313,77 @@ impl DiskStat {
     }
 }
 
+/// How long a stepped waiter with nothing it may service sleeps on its
+/// channel before looking for a freed disk again. Only reached when
+/// several threads share a stepped ring.
+const STEP_POLL: Duration = Duration::from_micros(100);
+
 /// The reactor front-end: per-disk submission queues over a
-/// [`ShardedBackend`], serviced by one worker thread per disk.
+/// [`ShardedBackend`], serviced by one worker thread per disk (threaded)
+/// or by the waiting threads themselves (stepped).
 pub struct IoRing {
     queues: Arc<Vec<DiskQueue>>,
     stats: Arc<Vec<DiskStat>>,
     backend: Arc<ShardedBackend>,
     config: RingConfig,
-    workers: Vec<JoinHandle<()>>,
+    next_seq: AtomicU64,
+    /// `None` for the stepped executor.
+    workers: Option<Vec<JoinHandle<()>>>,
+    /// Serialises the stepped executor's choice of the oldest dispatch.
+    step_turn: Mutex<()>,
 }
 
 impl IoRing {
-    /// Start one worker per disk of `backend`.
+    /// The threaded executor: start one worker per disk of `backend`.
     pub fn start(backend: Arc<ShardedBackend>, config: RingConfig) -> Self {
-        let queues: Arc<Vec<DiskQueue>> =
-            Arc::new((0..backend.num_disks()).map(|_| DiskQueue::new()).collect());
-        let stats: Arc<Vec<DiskStat>> = Arc::new(
-            (0..backend.num_disks())
-                .map(|_| DiskStat::default())
+        let mut ring = Self::queues_only(backend, config);
+        ring.workers = Some(
+            (0..ring.backend.num_disks())
+                .map(|disk| {
+                    let queues = ring.queues.clone();
+                    let stats = ring.stats.clone();
+                    let backend = ring.backend.clone();
+                    let config = ring.config.clone();
+                    std::thread::Builder::new()
+                        .name(format!("io-ring-{disk}"))
+                        .spawn(move || {
+                            worker_loop(disk, &queues[disk], &stats[disk], &backend, &config)
+                        })
+                        .expect("spawn io-ring worker")
+                })
                 .collect(),
         );
-        let workers = (0..backend.num_disks())
-            .map(|disk| {
-                let queues = queues.clone();
-                let stats = stats.clone();
-                let backend = backend.clone();
-                let config = config.clone();
-                std::thread::Builder::new()
-                    .name(format!("io-ring-{disk}"))
-                    .spawn(move || {
-                        worker_loop(disk, &queues[disk], &stats[disk], &backend, &config)
-                    })
-                    .expect("spawn io-ring worker")
-            })
-            .collect();
+        ring
+    }
+
+    /// The stepped executor: no worker threads. Ops are serviced by
+    /// [`IoRing::wait`], one dispatch per step, oldest submission first
+    /// across disks and foreground before background.
+    pub fn stepped(backend: Arc<ShardedBackend>, config: RingConfig) -> Self {
+        Self::queues_only(backend, config)
+    }
+
+    fn queues_only(backend: Arc<ShardedBackend>, config: RingConfig) -> Self {
+        let disks = backend.num_disks();
         IoRing {
-            queues,
-            stats,
+            queues: Arc::new((0..disks).map(|_| DiskQueue::new()).collect()),
+            stats: Arc::new((0..disks).map(|_| DiskStat::default()).collect()),
             backend,
             config,
-            workers,
+            next_seq: AtomicU64::new(0),
+            workers: None,
+            step_turn: Mutex::new(()),
         }
     }
 
     /// Snapshot every disk's live load — queue depth, in-flight count,
     /// EWMA service latency — for the queue-aware read policy. Lock-free:
-    /// three relaxed atomic loads per disk.
+    /// three relaxed atomic loads per disk. Empty on the stepped
+    /// executor, which keeps no telemetry.
     pub fn load_map(&self) -> DiskLoadMap {
+        if self.workers.is_none() {
+            return DiskLoadMap::from_loads(Vec::new());
+        }
         DiskLoadMap::from_loads(self.stats.iter().map(DiskStat::snapshot).collect())
     }
 
@@ -339,6 +419,7 @@ impl IoRing {
             Some(queue) => {
                 let mut state = queue.state.lock().unwrap();
                 let entry = Entry {
+                    seq: self.next_seq.fetch_add(1, Ordering::Relaxed),
                     access,
                     tag,
                     op,
@@ -378,8 +459,8 @@ impl IoRing {
 
     /// Revoke every still-queued op of `access` on every disk. Each
     /// revoked op completes as [`CompletionKind::Cancelled`] with its
-    /// buffer handed back; ops a worker has already started run to
-    /// completion and must be drained by the caller.
+    /// buffer handed back; ops already in service run to completion and
+    /// must be drained by the caller.
     pub fn cancel(&self, access: u64) {
         for (disk, queue) in self.queues.iter().enumerate() {
             let removed: Vec<Entry> = {
@@ -421,26 +502,117 @@ impl IoRing {
             }
         }
     }
+
+    /// Wait for the next completion on `rx` — the channel the caller's
+    /// own submissions name. The threaded executor just blocks on it. On
+    /// the stepped executor the waiting thread services dispatches itself,
+    /// one per step, until a completion lands on `rx`. With a `deadline`,
+    /// returns `None` once it passes with no completion.
+    pub fn wait(&self, rx: &Receiver<Completion>, deadline: Option<Instant>) -> Option<Completion> {
+        if self.workers.is_some() {
+            return recv_until(rx, deadline);
+        }
+        loop {
+            match rx.try_recv() {
+                Ok(c) => return Some(c),
+                Err(TryRecvError::Empty) => {}
+                Err(TryRecvError::Disconnected) => panic!("the waiter holds the sender"),
+            }
+            if deadline.is_some_and(|at| Instant::now() >= at) {
+                return None;
+            }
+            if !self.step() {
+                // Every queued op sits behind a disk another thread is
+                // servicing (or nothing is queued and the completion
+                // owed to `rx` is in service there): sleep on the channel
+                // briefly, then look for a freed disk again.
+                let poll = Instant::now() + STEP_POLL;
+                let until = deadline.map_or(poll, |at| at.min(poll));
+                if let Some(c) = recv_until(rx, Some(until)) {
+                    return Some(c);
+                }
+            }
+        }
+    }
+
+    /// Stepped executor: service the oldest queued dispatch on a disk no
+    /// other thread is servicing. Returns whether it found one.
+    fn step(&self) -> bool {
+        let (disk, popped, priority) = {
+            let _turn = self.step_turn.lock().expect("stepper panicked mid-pick");
+            let oldest = self
+                .queues
+                .iter()
+                .enumerate()
+                .filter_map(|(disk, q)| {
+                    let key = q.state.lock().expect("ring queue poisoned").next_key()?;
+                    Some((key, disk))
+                })
+                .min();
+            let Some((_, disk)) = oldest else {
+                return false;
+            };
+            let mut state = self.queues[disk].state.lock().expect("ring queue poisoned");
+            // A concurrent cancel may have emptied the queue since the
+            // pick; its completions are already sent, which is progress.
+            let Some((popped, priority)) = state.pop_dispatch(self.config.group_commit.max(1))
+            else {
+                return true;
+            };
+            state.busy = true;
+            (disk, popped, priority)
+        };
+        service_dispatch(
+            disk,
+            popped,
+            priority,
+            &self.stats[disk],
+            &self.backend,
+            &self.config,
+        );
+        self.queues[disk]
+            .state
+            .lock()
+            .expect("ring queue poisoned")
+            .busy = false;
+        true
+    }
+}
+
+/// Receive from `rx`, blocking until `deadline` (forever when `None`).
+fn recv_until(rx: &Receiver<Completion>, deadline: Option<Instant>) -> Option<Completion> {
+    let Some(at) = deadline else {
+        return Some(rx.recv().expect("the waiter holds the sender"));
+    };
+    match rx.recv_timeout(at.saturating_duration_since(Instant::now())) {
+        Ok(c) => Some(c),
+        Err(RecvTimeoutError::Timeout) => None,
+        Err(RecvTimeoutError::Disconnected) => panic!("the waiter holds the sender"),
+    }
 }
 
 impl Drop for IoRing {
     fn drop(&mut self) {
-        for queue in self.queues.iter() {
-            let mut state = queue.state.lock().unwrap();
-            state.shutdown = true;
-            drop(state);
-            queue.ready.notify_all();
-        }
-        for worker in self.workers.drain(..) {
-            let _ = worker.join();
+        match self.workers.take() {
+            Some(workers) => {
+                for queue in self.queues.iter() {
+                    queue.state.lock().unwrap().shutdown = true;
+                    queue.ready.notify_all();
+                }
+                for worker in workers {
+                    let _ = worker.join();
+                }
+            }
+            // Exactly one completion per submission holds on the stepped
+            // executor too: service whatever nobody waited for.
+            None => while self.step() {},
         }
     }
 }
 
-/// Worker main loop: pop ops (coalescing contiguous write runs across
-/// accesses), service them *outside* the queue lock, and deliver exactly
-/// one completion per op. Pending entries are drained before shutdown is
-/// honoured.
+/// Worker main loop: pop dispatches, service them *outside* the queue
+/// lock, and deliver exactly one completion per op. Pending entries are
+/// drained before shutdown is honoured.
 fn worker_loop(
     disk: usize,
     queue: &DiskQueue,
@@ -450,74 +622,53 @@ fn worker_loop(
 ) {
     let batch_cap = config.group_commit.max(1);
     loop {
-        let (popped, priority): (Vec<Entry>, Priority) = {
+        let (popped, priority) = {
             let mut state = queue.state.lock().unwrap();
             loop {
-                if !state.entries.is_empty() || !state.background.is_empty() {
-                    break;
+                if let Some(dispatch) = state.pop_dispatch(batch_cap) {
+                    break dispatch;
                 }
                 if state.shutdown {
                     return;
                 }
                 state = queue.ready.wait(state).unwrap();
             }
-            // Strict priority: the background queue is looked at only
-            // when no foreground op is queued. Write runs coalesce within
-            // one class so a batch never smuggles background writes ahead
-            // of foreground ones.
-            let priority = if state.entries.is_empty() {
-                Priority::Background
-            } else {
-                Priority::Foreground
-            };
-            let class_queue = match priority {
-                Priority::Foreground => &mut state.entries,
-                Priority::Background => &mut state.background,
-            };
-            let popped = if matches!(
-                class_queue.front().map(|e| &e.op),
-                Some(SubmitOp::Write { .. })
-            ) {
-                // Cross-access group commit: take the contiguous run of
-                // queued writes, whatever access they came from.
-                let mut batch = Vec::new();
-                while batch.len() < batch_cap
-                    && matches!(
-                        class_queue.front().map(|e| &e.op),
-                        Some(SubmitOp::Write { .. })
-                    )
-                {
-                    batch.push(class_queue.pop_front().unwrap());
-                }
-                batch
-            } else {
-                vec![class_queue.pop_front().unwrap()]
-            };
-            (popped, priority)
         };
-        let n = popped.len() as u64;
-        stat.queued_for(priority).fetch_sub(n, Ordering::Relaxed);
-        stat.in_flight.fetch_add(n, Ordering::Relaxed);
-        // The stat updates below happen *before* the completion sends, so
-        // a submitter that has drained all its completions observes its
-        // own ops fully retired from the load map — a quiescent reactor
-        // never sees ghost in-flight residue from its previous access.
-        if matches!(popped.first().map(|e| &e.op), Some(SubmitOp::Write { .. })) {
-            service_write_batch(disk, popped, stat, backend);
-        } else {
-            for entry in popped {
-                let begun = std::time::Instant::now();
-                let kind = service_op(disk, entry.op, backend, config);
-                stat.record_service(begun.elapsed().as_secs_f64() * 1e6);
-                stat.in_flight.fetch_sub(1, Ordering::Relaxed);
-                let _ = entry.done.send(Completion {
-                    access: entry.access,
-                    tag: entry.tag,
-                    disk,
-                    kind,
-                });
-            }
-        }
+        service_dispatch(disk, popped, priority, stat, backend, config);
+    }
+}
+
+/// Service one popped dispatch — a write batch or a single op — and send
+/// its completions. The stat updates happen *before* the completion
+/// sends, so a submitter that has drained all its completions observes
+/// its own ops fully retired from the load map — a quiescent reactor
+/// never sees ghost in-flight residue from its previous access.
+fn service_dispatch(
+    disk: usize,
+    popped: Vec<Entry>,
+    priority: Priority,
+    stat: &DiskStat,
+    backend: &ShardedBackend,
+    config: &RingConfig,
+) {
+    let n = popped.len() as u64;
+    stat.queued_for(priority).fetch_sub(n, Ordering::Relaxed);
+    stat.in_flight.fetch_add(n, Ordering::Relaxed);
+    if matches!(popped.first().map(|e| &e.op), Some(SubmitOp::Write { .. })) {
+        service_write_batch(disk, popped, stat, backend);
+        return;
+    }
+    for entry in popped {
+        let begun = Instant::now();
+        let kind = service_op(disk, entry.op, backend, config);
+        stat.record_service(begun.elapsed().as_secs_f64() * 1e6);
+        stat.in_flight.fetch_sub(1, Ordering::Relaxed);
+        let _ = entry.done.send(Completion {
+            access: entry.access,
+            tag: entry.tag,
+            disk,
+            kind,
+        });
     }
 }
 
@@ -540,6 +691,7 @@ fn service_write_batch(
             tag,
             op,
             done,
+            ..
         } = entry;
         let SubmitOp::Write { key, data } = op else {
             unreachable!("write batch holds only writes");
@@ -547,7 +699,7 @@ fn service_write_batch(
         meta.push((access, tag, done));
         batch.push((key, data));
     }
-    let begun = std::time::Instant::now();
+    let begun = Instant::now();
     let results = backend.commit_batch(disk, batch);
     // One EWMA sample per op (the batch's wall time split evenly), folded
     // before the sends for the same reason as the read path.
@@ -569,8 +721,8 @@ fn service_write_batch(
     }
 }
 
-/// Service one op on the calling thread, replicating the blocking read
-/// retry policy.
+/// Service one op on the calling thread, with the shared bounded read
+/// retry.
 fn service_op(
     disk: usize,
     op: SubmitOp,
@@ -621,19 +773,31 @@ mod tests {
     use crate::backend::InMemoryBackend;
     use std::sync::mpsc;
 
+    fn backend(disks: usize) -> Arc<ShardedBackend> {
+        Arc::new(ShardedBackend::new(Box::new(InMemoryBackend::uniform(
+            disks, 10e6,
+        ))))
+    }
+
+    fn config() -> RingConfig {
+        RingConfig {
+            group_commit: 4,
+            read_attempts: 3,
+            backoff_micros: 0,
+        }
+    }
+
     fn ring(disks: usize) -> IoRing {
-        let backend = Arc::new(ShardedBackend::new(
-            Box::new(InMemoryBackend::uniform(disks, 10e6)),
-            true,
-        ));
-        IoRing::start(
-            backend,
-            RingConfig {
-                group_commit: 4,
-                read_attempts: 3,
-                backoff_micros: 0,
-            },
-        )
+        IoRing::start(backend(disks), config())
+    }
+
+    fn stepped(disks: usize) -> (Arc<ShardedBackend>, IoRing) {
+        let backend = backend(disks);
+        (backend.clone(), IoRing::stepped(backend, config()))
+    }
+
+    fn next(r: &IoRing, rx: &mpsc::Receiver<Completion>) -> Completion {
+        r.wait(rx, None).expect("untimed waits always yield")
     }
 
     #[test]
@@ -863,16 +1027,11 @@ mod tests {
         // read with real retry backoff), queue background deletes and
         // *then* foreground deletes behind it, and check that strict
         // priority services every foreground op first anyway.
-        let backend = Arc::new(ShardedBackend::new(
-            Box::new(InMemoryBackend::uniform(1, 10e6)),
-            true,
-        ));
         let r = IoRing::start(
-            backend,
+            backend(1),
             RingConfig {
-                group_commit: 4,
-                read_attempts: 3,
                 backoff_micros: 20_000, // ~60ms parked on the first read
+                ..config()
             },
         );
         let (tx, rx) = mpsc::channel();
@@ -947,18 +1106,8 @@ mod tests {
 
     #[test]
     fn ring_batches_contiguous_writes() {
-        let backend = Arc::new(ShardedBackend::new(
-            Box::new(InMemoryBackend::uniform(1, 10e6)),
-            true,
-        ));
-        let r = IoRing::start(
-            backend.clone(),
-            RingConfig {
-                group_commit: 4,
-                read_attempts: 1,
-                backoff_micros: 0,
-            },
-        );
+        let backend = backend(1);
+        let r = IoRing::start(backend.clone(), config());
         let (tx, rx) = mpsc::channel();
         for tag in 0..12u64 {
             r.submit(
@@ -980,5 +1129,118 @@ mod tests {
         // All 12 blocks landed despite batching across accesses.
         assert_eq!(backend.disk_used(0), 12 * 8);
         assert_eq!(backend.writes(), 12);
+    }
+
+    #[test]
+    fn stepped_services_oldest_submission_first_across_disks() {
+        let (_, r) = stepped(3);
+        let (tx, rx) = mpsc::channel();
+        let disks = [2usize, 0, 1, 2, 0, 1, 1];
+        for (tag, &disk) in disks.iter().enumerate() {
+            let key = tag as u64;
+            r.submit(disk, 1, tag as u64, SubmitOp::Delete { key }, &tx);
+        }
+        assert!(rx.try_recv().is_err(), "nothing is serviced before a wait");
+        let order: Vec<(u64, usize)> = disks
+            .iter()
+            .map(|_| {
+                let c = next(&r, &rx);
+                (c.tag, c.disk)
+            })
+            .collect();
+        let submitted: Vec<(u64, usize)> = (0..).zip(disks).collect();
+        assert_eq!(order, submitted);
+        assert!(
+            r.load_map().is_empty(),
+            "stepped executors keep no telemetry"
+        );
+        // Exactly one completion per submission, even if nobody waits.
+        r.submit(0, 1, 99, SubmitOp::Delete { key: 99 }, &tx);
+        drop(r);
+        assert_eq!(rx.try_recv().map(|c| c.tag).ok(), Some(99));
+        assert!(rx.try_recv().is_err());
+    }
+
+    #[test]
+    fn stepped_services_foreground_before_background() {
+        let (_, r) = stepped(2);
+        let (tx, rx) = mpsc::channel();
+        for tag in 0..3u64 {
+            let op = SubmitOp::Delete { key: tag };
+            r.submit_with(tag as usize % 2, 2, tag, op, Priority::Background, &tx);
+        }
+        for tag in 0..3u64 {
+            let op = SubmitOp::Delete { key: 10 + tag };
+            r.submit(tag as usize % 2, 1, tag, op, &tx);
+        }
+        let order: Vec<(u64, u64)> = (0..6)
+            .map(|_| {
+                let c = next(&r, &rx);
+                (c.access, c.tag)
+            })
+            .collect();
+        assert_eq!(order, vec![(1, 0), (1, 1), (1, 2), (2, 0), (2, 1), (2, 2)]);
+    }
+
+    #[test]
+    fn stepped_cancel_revokes_every_unserviced_op() {
+        let (backend, r) = stepped(2);
+        let (tx, rx) = mpsc::channel();
+        for key in 0..8u64 {
+            backend
+                .write_block(key as usize % 2, key, vec![key as u8; 4])
+                .unwrap();
+        }
+        for tag in 0..8u64 {
+            let op = SubmitOp::Read {
+                key: tag,
+                buf: Vec::new(),
+            };
+            r.submit(tag as usize % 2, 5, tag, op, &tx);
+        }
+        for tag in 0..3 {
+            let c = next(&r, &rx);
+            assert_eq!(c.tag, tag);
+            assert!(matches!(
+                c.kind,
+                CompletionKind::Read { result: Ok(()), .. }
+            ));
+        }
+        r.cancel(5);
+        let mut cancelled = Vec::new();
+        while let Ok(c) = rx.try_recv() {
+            assert!(
+                matches!(c.kind, CompletionKind::Cancelled { buf: Some(_) }),
+                "revoked reads hand their buffer back"
+            );
+            cancelled.push(c.tag);
+        }
+        cancelled.sort_unstable();
+        assert_eq!(cancelled, (3..8).collect::<Vec<_>>());
+        assert_eq!(backend.reads(), 3, "revoked reads never reached a disk");
+        drop(r);
+        assert!(rx.try_recv().is_err(), "one completion per submission");
+    }
+
+    #[test]
+    fn stepped_dispatch_pops_a_group_commit_batch() {
+        let (backend, r) = stepped(1);
+        let (tx, rx) = mpsc::channel();
+        for tag in 0..6u64 {
+            let op = SubmitOp::Write {
+                key: tag,
+                data: vec![1; 8],
+            };
+            r.submit(0, tag % 3, tag, op, &tx);
+        }
+        assert_eq!(next(&r, &rx).tag, 0);
+        // One step landed the first four writes, from three accesses, as
+        // one batch (group_commit = 4); their completions are all in.
+        assert_eq!(backend.writes(), 4);
+        let batch: Vec<u64> = (0..3).map(|_| rx.try_recv().unwrap().tag).collect();
+        assert_eq!(batch, vec![1, 2, 3]);
+        assert!(rx.try_recv().is_err());
+        assert_eq!((next(&r, &rx).tag, next(&r, &rx).tag), (4, 5));
+        assert_eq!(backend.disk_used(0), 6 * 8);
     }
 }

@@ -4,19 +4,13 @@
 //! *independent* disks, so the client must not serialise them behind one
 //! backend-wide lock. [`ShardedBackend`] is the submission layer that
 //! makes the independence real: it splits a [`StorageBackend`] into
-//! per-disk [`DiskShard`]s (via [`StorageBackend::try_shard`]), puts each
-//! shard behind its own mutex, and routes every `write_block` /
-//! `read_block_into` / `delete_block` by disk id. Two accesses touching
-//! different disks — or different blocks of the same access — only
-//! contend when they land on the same disk at the same instant, which is
-//! exactly the per-disk-queue regime the paper's analysis models.
-//!
-//! Backends that cannot shard (`try_shard() == None`) fall back to
-//! `Whole` mode: one mutex around the whole backend, taken per block
-//! operation. That is also the configuration knob
-//! (`SystemConfig::sharded = false`) the differential tests use as the
-//! single-lock oracle — by construction both modes issue the identical
-//! per-disk operation sequences, so committed state must match.
+//! per-disk [`DiskShard`]s (via [`StorageBackend::try_shard`], which every
+//! backend must support), puts each shard behind its own mutex, and
+//! routes every `write_block` / `read_block_into` / `delete_block` by
+//! disk id. Two accesses touching different disks — or different blocks
+//! of the same access — only contend when they land on the same disk at
+//! the same instant, which is exactly the per-disk-queue regime the
+//! paper's analysis models.
 //!
 //! Group commit rides on the same seam: [`ShardedBackend::commit_batch`]
 //! hands a run of consecutive same-disk writes to the shard in one lock
@@ -33,50 +27,48 @@ use robustore_simkit::SeedSequence;
 use crate::backend::{DiskShard, RefusedWrite, StorageBackend};
 use crate::error::StoreError;
 
-enum Mode {
-    /// One mutex per disk; operations route by disk id.
-    Sharded(Vec<Mutex<Box<dyn DiskShard>>>),
-    /// Fallback: one mutex around the whole backend.
-    Whole(Mutex<Box<dyn StorageBackend + Send>>),
-}
-
-/// The submission layer over a (possibly sharded) storage backend.
+/// The submission layer over a storage backend split into per-disk
+/// shards.
 ///
 /// All methods take `&self`: locking is internal and per-operation, so
 /// concurrent client accesses interleave at block granularity instead of
 /// excluding each other for whole accesses. Per-disk nominal speeds are
 /// cached at construction (they are static), so layout planning reads
-/// them without touching any lock.
+/// them without touching any lock. A disk id past the end refuses
+/// gracefully (missing block, zero usage).
 pub struct ShardedBackend {
-    mode: Mode,
+    shards: Vec<Mutex<Box<dyn DiskShard>>>,
     speeds: Vec<f64>,
 }
 
 impl ShardedBackend {
-    /// Wrap `backend`, sharding it when `sharded` is true and the backend
-    /// supports it ([`StorageBackend::try_shard`]); otherwise the whole
-    /// backend sits behind a single lock.
-    pub fn new(mut backend: Box<dyn StorageBackend + Send>, sharded: bool) -> Self {
+    /// Split `backend` into its per-disk shards.
+    ///
+    /// # Panics
+    ///
+    /// If the backend breaks the [`StorageBackend::try_shard`] contract:
+    /// it returns `None`, or not exactly one shard per disk.
+    pub fn new(mut backend: Box<dyn StorageBackend + Send>) -> Self {
         let speeds: Vec<f64> = (0..backend.num_disks())
             .map(|d| backend.disk_speed(d))
             .collect();
-        let mode = if sharded {
-            match backend.try_shard() {
-                Some(shards) => {
-                    assert_eq!(shards.len(), speeds.len(), "one shard per disk");
-                    Mode::Sharded(shards.into_iter().map(Mutex::new).collect())
-                }
-                None => Mode::Whole(Mutex::new(backend)),
-            }
-        } else {
-            Mode::Whole(Mutex::new(backend))
-        };
-        ShardedBackend { mode, speeds }
+        let shards = backend.try_shard().expect(
+            "StorageBackend::try_shard returned None: every backend must split \
+             into one DiskShard per disk",
+        );
+        assert_eq!(
+            shards.len(),
+            speeds.len(),
+            "StorageBackend::try_shard must return one DiskShard per disk"
+        );
+        ShardedBackend {
+            shards: shards.into_iter().map(Mutex::new).collect(),
+            speeds,
+        }
     }
 
-    /// Whether dispatch is per-disk (true) or behind one big lock.
-    pub fn is_sharded(&self) -> bool {
-        matches!(self.mode, Mode::Sharded(_))
+    fn shard(&self, disk: usize) -> Option<&Mutex<Box<dyn DiskShard>>> {
+        self.shards.get(disk)
     }
 
     /// Number of disks.
@@ -91,15 +83,12 @@ impl ShardedBackend {
 
     /// Store `data` as block `block` of disk `disk`.
     pub fn write_block(&self, disk: usize, block: u64, data: Vec<u8>) -> Result<(), RefusedWrite> {
-        match &self.mode {
-            Mode::Sharded(shards) => match shards.get(disk) {
-                Some(shard) => shard.lock().write_block(block, data),
-                None => Err(RefusedWrite::new(
-                    StoreError::MissingBlock { disk, block },
-                    data,
-                )),
-            },
-            Mode::Whole(b) => b.lock().write_block(disk, block, data),
+        match self.shard(disk) {
+            Some(shard) => shard.lock().write_block(block, data),
+            None => Err(RefusedWrite::new(
+                StoreError::MissingBlock { disk, block },
+                data,
+            )),
         }
     }
 
@@ -111,20 +100,17 @@ impl ShardedBackend {
         disk: usize,
         batch: Vec<(u64, Vec<u8>)>,
     ) -> Vec<Result<(), RefusedWrite>> {
-        match &self.mode {
-            Mode::Sharded(shards) => match shards.get(disk) {
-                Some(shard) => shard.lock().commit_batch(batch),
-                None => batch
-                    .into_iter()
-                    .map(|(block, data)| {
-                        Err(RefusedWrite::new(
-                            StoreError::MissingBlock { disk, block },
-                            data,
-                        ))
-                    })
-                    .collect(),
-            },
-            Mode::Whole(b) => b.lock().commit_batch(disk, batch),
+        match self.shard(disk) {
+            Some(shard) => shard.lock().commit_batch(batch),
+            None => batch
+                .into_iter()
+                .map(|(block, data)| {
+                    Err(RefusedWrite::new(
+                        StoreError::MissingBlock { disk, block },
+                        data,
+                    ))
+                })
+                .collect(),
         }
     }
 
@@ -135,25 +121,21 @@ impl ShardedBackend {
         block: u64,
         buf: &mut Vec<u8>,
     ) -> Result<(), StoreError> {
-        match &self.mode {
-            Mode::Sharded(shards) => shards
-                .get(disk)
-                .ok_or(StoreError::MissingBlock { disk, block })?
-                .lock()
-                .read_block_into(block, buf),
-            Mode::Whole(b) => b.lock().read_block_into(disk, block, buf),
-        }
+        self.shard(disk)
+            .ok_or(StoreError::MissingBlock { disk, block })?
+            .lock()
+            .read_block_into(block, buf)
     }
 
     /// Fetch a block with the shared bounded-retry policy: transient
     /// faults retry up to `max_attempts` total attempts, calling
     /// `backoff(attempt)` before each retry (the caller supplies the
-    /// sleep — plain exponential on the ring workers, seeded jitter on
-    /// the blocking path, nothing during scrub). A successful read is
-    /// counted against the disk here, so the retry accounting and the
-    /// per-disk read counters cannot drift between the two paths.
-    /// Returns the final result and the number of retries performed;
-    /// exhausted retries surface the last `TransientIo` error.
+    /// sleep — plain exponential on the ring, nothing during read-repair
+    /// audits). A successful read is counted against the disk here, so
+    /// the retry accounting and the per-disk read counters cannot drift
+    /// between callers. Returns the final result and the number of
+    /// retries performed; exhausted retries surface the last
+    /// `TransientIo` error.
     pub fn read_block_retry(
         &self,
         disk: usize,
@@ -189,80 +171,50 @@ impl ShardedBackend {
     /// `block`? Not a read — counters and injected-fault budgets are
     /// untouched (see [`DiskShard::has_block`]).
     pub fn has_block(&self, disk: usize, block: u64) -> bool {
-        match &self.mode {
-            Mode::Sharded(shards) => shards.get(disk).is_some_and(|s| s.lock().has_block(block)),
-            Mode::Whole(b) => b.lock().has_block(disk, block),
-        }
+        self.shard(disk).is_some_and(|s| s.lock().has_block(block))
     }
 
     /// Remove a block.
     pub fn delete_block(&self, disk: usize, block: u64) -> Result<(), StoreError> {
-        match &self.mode {
-            Mode::Sharded(shards) => shards
-                .get(disk)
-                .ok_or(StoreError::MissingBlock { disk, block })?
-                .lock()
-                .delete_block(block),
-            Mode::Whole(b) => b.lock().delete_block(disk, block),
-        }
+        self.shard(disk)
+            .ok_or(StoreError::MissingBlock { disk, block })?
+            .lock()
+            .delete_block(block)
     }
 
     /// Bytes currently stored on a disk.
     pub fn disk_used(&self, disk: usize) -> u64 {
-        match &self.mode {
-            Mode::Sharded(shards) => shards.get(disk).map_or(0, |s| s.lock().used()),
-            Mode::Whole(b) => b.lock().disk_used(disk),
-        }
+        self.shard(disk).map_or(0, |s| s.lock().used())
     }
 
     /// Account one block read on `disk`.
     pub fn count_read(&self, disk: usize) {
-        match &self.mode {
-            Mode::Sharded(shards) => {
-                if let Some(shard) = shards.get(disk) {
-                    shard.lock().count_read();
-                }
-            }
-            Mode::Whole(b) => b.lock().count_read(),
+        if let Some(shard) = self.shard(disk) {
+            shard.lock().count_read();
         }
     }
 
     /// Blocks read so far, summed across disks.
     pub fn reads(&self) -> u64 {
-        match &self.mode {
-            Mode::Sharded(shards) => shards.iter().map(|s| s.lock().reads()).sum(),
-            Mode::Whole(b) => b.lock().reads(),
-        }
+        self.shards.iter().map(|s| s.lock().reads()).sum()
     }
 
     /// Blocks written so far, summed across disks.
     pub fn writes(&self) -> u64 {
-        match &self.mode {
-            Mode::Sharded(shards) => shards.iter().map(|s| s.lock().writes()).sum(),
-            Mode::Whole(b) => b.lock().writes(),
-        }
+        self.shards.iter().map(|s| s.lock().writes()).sum()
     }
 
     /// Failure injection: take a disk offline or bring it back.
     pub fn set_offline(&self, disk: usize, offline: bool) {
-        match &self.mode {
-            Mode::Sharded(shards) => {
-                if let Some(shard) = shards.get(disk) {
-                    shard.lock().set_offline(offline);
-                }
-            }
-            Mode::Whole(b) => b.lock().set_offline(disk, offline),
+        if let Some(shard) = self.shard(disk) {
+            shard.lock().set_offline(offline);
         }
     }
 
     /// Fault injection: seeded random block loss on one disk.
     pub fn drop_random_blocks(&self, disk: usize, fraction: f64, seq: &SeedSequence) -> Vec<u64> {
-        match &self.mode {
-            Mode::Sharded(shards) => shards
-                .get(disk)
-                .map_or_else(Vec::new, |s| s.lock().drop_random_blocks(fraction, seq)),
-            Mode::Whole(b) => b.lock().drop_random_blocks(disk, fraction, seq),
-        }
+        self.shard(disk)
+            .map_or_else(Vec::new, |s| s.lock().drop_random_blocks(fraction, seq))
     }
 
     /// Fault injection: seeded at-rest bit rot on one disk.
@@ -272,12 +224,8 @@ impl ShardedBackend {
         fraction: f64,
         seq: &SeedSequence,
     ) -> Vec<u64> {
-        match &self.mode {
-            Mode::Sharded(shards) => shards
-                .get(disk)
-                .map_or_else(Vec::new, |s| s.lock().corrupt_random_blocks(fraction, seq)),
-            Mode::Whole(b) => b.lock().corrupt_random_blocks(disk, fraction, seq),
-        }
+        self.shard(disk)
+            .map_or_else(Vec::new, |s| s.lock().corrupt_random_blocks(fraction, seq))
     }
 }
 
@@ -287,40 +235,29 @@ mod tests {
     use crate::backend::InMemoryBackend;
 
     fn sharded(n: usize) -> ShardedBackend {
-        ShardedBackend::new(Box::new(InMemoryBackend::uniform(n, 10e6)), true)
-    }
-
-    fn whole(n: usize) -> ShardedBackend {
-        ShardedBackend::new(Box::new(InMemoryBackend::uniform(n, 10e6)), false)
+        ShardedBackend::new(Box::new(InMemoryBackend::uniform(n, 10e6)))
     }
 
     #[test]
-    fn routes_by_disk_in_both_modes() {
-        for b in [sharded(3), whole(3)] {
-            b.write_block(0, 1, vec![1; 4]).unwrap();
-            b.write_block(2, 9, vec![2; 8]).unwrap();
-            let mut buf = Vec::new();
-            b.read_block_into(2, 9, &mut buf).unwrap();
-            assert_eq!(buf, vec![2; 8]);
-            assert_eq!(b.disk_used(0), 4);
-            assert_eq!(b.disk_used(1), 0);
-            assert_eq!(b.disk_used(2), 8);
-            assert_eq!(b.writes(), 2);
-            b.delete_block(0, 1).unwrap();
-            assert_eq!(b.disk_used(0), 0);
-            assert!(matches!(
-                b.read_block_into(0, 1, &mut buf),
-                Err(StoreError::MissingBlock { .. })
-            ));
-        }
-    }
-
-    #[test]
-    fn sharding_takes_when_supported() {
-        assert!(sharded(2).is_sharded());
-        assert!(!whole(2).is_sharded(), "sharded=false forces one lock");
-        assert_eq!(sharded(4).num_disks(), 4);
-        assert_eq!(sharded(2).disk_speed(1), 10e6);
+    fn routes_by_disk() {
+        let b = sharded(3);
+        b.write_block(0, 1, vec![1; 4]).unwrap();
+        b.write_block(2, 9, vec![2; 8]).unwrap();
+        let mut buf = Vec::new();
+        b.read_block_into(2, 9, &mut buf).unwrap();
+        assert_eq!(buf, vec![2; 8]);
+        assert_eq!(b.disk_used(0), 4);
+        assert_eq!(b.disk_used(1), 0);
+        assert_eq!(b.disk_used(2), 8);
+        assert_eq!(b.writes(), 2);
+        b.delete_block(0, 1).unwrap();
+        assert_eq!(b.disk_used(0), 0);
+        assert!(matches!(
+            b.read_block_into(0, 1, &mut buf),
+            Err(StoreError::MissingBlock { .. })
+        ));
+        assert_eq!(b.num_disks(), 3);
+        assert_eq!(b.disk_speed(1), 10e6);
     }
 
     #[test]
@@ -338,26 +275,24 @@ mod tests {
 
     #[test]
     fn commit_batch_matches_sequential_writes() {
-        for b in [sharded(2), whole(2)] {
-            let results = b.commit_batch(1, vec![(10, vec![1; 3]), (11, vec![2; 5])]);
-            assert_eq!(results.len(), 2);
-            assert!(results.iter().all(|r| r.is_ok()));
-            assert_eq!(b.disk_used(1), 8);
-            let mut buf = Vec::new();
-            b.read_block_into(1, 11, &mut buf).unwrap();
-            assert_eq!(buf, vec![2; 5]);
-        }
+        let b = sharded(2);
+        let results = b.commit_batch(1, vec![(10, vec![1; 3]), (11, vec![2; 5])]);
+        assert_eq!(results.len(), 2);
+        assert!(results.iter().all(|r| r.is_ok()));
+        assert_eq!(b.disk_used(1), 8);
+        let mut buf = Vec::new();
+        b.read_block_into(1, 11, &mut buf).unwrap();
+        assert_eq!(buf, vec![2; 5]);
     }
 
     #[test]
-    fn offline_shard_refuses_like_whole() {
-        for b in [sharded(2), whole(2)] {
-            b.set_offline(0, true);
-            assert!(b.write_block(0, 1, vec![1]).is_err());
-            b.write_block(1, 1, vec![1]).unwrap();
-            b.set_offline(0, false);
-            b.write_block(0, 1, vec![1]).unwrap();
-        }
+    fn offline_shard_refuses() {
+        let b = sharded(2);
+        b.set_offline(0, true);
+        assert!(b.write_block(0, 1, vec![1]).is_err());
+        b.write_block(1, 1, vec![1]).unwrap();
+        b.set_offline(0, false);
+        b.write_block(0, 1, vec![1]).unwrap();
     }
 
     #[test]
@@ -367,28 +302,5 @@ mod tests {
         b.count_read(2);
         b.count_read(2);
         assert_eq!(b.reads(), 3);
-    }
-
-    #[test]
-    fn seeded_faults_match_whole_backend() {
-        // The shard forks the same per-disk rng streams as the unsharded
-        // backend, so fault injection picks identical victims.
-        let load = |b: &ShardedBackend| {
-            for key in 0..64u64 {
-                b.write_block(0, key, vec![key as u8; 16]).unwrap();
-            }
-        };
-        let seq = SeedSequence::new(11);
-        let (a, b) = (sharded(2), whole(2));
-        load(&a);
-        load(&b);
-        assert_eq!(
-            a.drop_random_blocks(0, 0.3, &seq),
-            b.drop_random_blocks(0, 0.3, &seq)
-        );
-        assert_eq!(
-            a.corrupt_random_blocks(0, 0.4, &seq),
-            b.corrupt_random_blocks(0, 0.4, &seq)
-        );
     }
 }

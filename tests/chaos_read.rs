@@ -27,18 +27,17 @@ const DISKS: usize = 8;
 fn chaos_system() -> (System, FaultSwitch) {
     let speeds: Vec<f64> = (0..DISKS).map(|i| 10e6 + i as f64 * 6e6).collect();
     let (backend, switch) = ChaosBackend::new(InMemoryBackend::new(speeds));
-    let sys = System::with_backend(
+    // Stepped executor: this suite asserts *exact* injected fault and
+    // retry counts against seeded budgets, and ring workers may service a
+    // few already-queued requests past the decode point (legitimately
+    // consuming extra budget). The threaded executor's chaos semantics are
+    // covered by tests/ring_chaos.rs.
+    let sys = System::stepped(
         Box::new(backend),
         SystemConfig {
             block_bytes: 4 << 10,
             encode_threads: 4,
             pipeline_depth: 8,
-            // Blocking path pinned: this suite asserts *exact* injected
-            // fault and retry counts against seeded budgets, and the ring
-            // may service a few already-queued requests past the decode
-            // point (legitimately consuming extra budget). Ring-mode
-            // chaos semantics are covered by tests/ring_chaos.rs.
-            io_ring: false,
             ..Default::default()
         },
     );
@@ -174,13 +173,12 @@ fn scrubber_restores_full_redundancy_unscrubbed_store_decays() {
         // healer at all demonstrates the decay the scrubber prevents.
         let speeds: Vec<f64> = (0..DISKS).map(|i| 10e6 + i as f64 * 6e6).collect();
         let (backend, _switch) = ChaosBackend::new(InMemoryBackend::new(speeds));
-        let sys = System::with_backend(
+        let sys = System::stepped(
             Box::new(backend),
             SystemConfig {
                 block_bytes: 4 << 10,
                 encode_threads: 4,
                 pipeline_depth: 8,
-                io_ring: false,
                 read_repair: scrubbed,
                 ..Default::default()
             },

@@ -1,4 +1,4 @@
-//! Chaos suite for the async I/O ring (`SystemConfig::io_ring`).
+//! Chaos suite for the per-disk I/O ring's threaded executor.
 //!
 //! The ring moves backend service onto per-disk workers: submissions
 //! queue, workers coalesce cross-access write runs into one group-commit
@@ -9,7 +9,7 @@
 //! * **cancellation reclaims disk time without mutating anything** — a
 //!   speculative read services strictly fewer block reads than the file
 //!   stores, returns every buffer, and leaves stored bytes untouched;
-//! * **write aborts roll back** exactly as on the blocking path: a disk
+//! * **write aborts roll back**: a disk
 //!   that hard-faults mid-access surfaces as `DiskFault`, no orphan
 //!   bytes or metadata survive, and a retry after the fault clears
 //!   commits normally;
@@ -18,14 +18,21 @@
 //!   while writes from several accesses queue behind it, then observes
 //!   one coalesced batch in submission order (and that a cancelled
 //!   access's queued writes never reach the backend at all);
-//! * **seeded replay is identical ring vs blocking** under persistent
+//! * **seeded replay is identical threaded vs stepped** under persistent
 //!   damage (lost blocks, bit rot, an offline-disk window): decoded
 //!   bytes, layouts, and per-disk byte counts all match. Budgeted fault
-//!   switches are deliberately absent here — the ring may service a few
-//!   already-queued ops past the decode point, so *consumable* fault
-//!   budgets are the one place the two paths legitimately diverge (see
-//!   `tests/chaos_read.rs`, which pins those counters on the blocking
-//!   path).
+//!   switches are deliberately absent here — ring workers may service a
+//!   few already-queued ops past the decode point, so *consumable* fault
+//!   budgets are the one place the two executors legitimately diverge
+//!   (see `tests/chaos_read.rs`, which pins those counters on the stepped
+//!   executor).
+//!
+//! Every test that drives a [`System`] ends with the shared model check
+//! ([`common::assert_committed_state_matches`]).
+
+mod common;
+
+use std::collections::BTreeMap;
 
 use std::sync::mpsc;
 use std::sync::{Arc, Condvar, Mutex};
@@ -43,19 +50,20 @@ fn speeds() -> Vec<f64> {
     (0..DISKS).map(|i| 10e6 + i as f64 * 6e6).collect()
 }
 
-fn ring_system(io_ring: bool) -> System {
-    let sys = System::with_backend(
-        Box::new(InMemoryBackend::new(speeds())),
-        SystemConfig {
-            block_bytes: 4 << 10,
-            encode_threads: 2,
-            pipeline_depth: 4,
-            io_ring,
-            ..Default::default()
-        },
-    );
-    assert_eq!(sys.uses_io_ring(), io_ring);
-    sys
+fn config() -> SystemConfig {
+    SystemConfig {
+        block_bytes: 4 << 10,
+        encode_threads: 2,
+        pipeline_depth: 4,
+        ..Default::default()
+    }
+}
+
+fn model(files: &[(&str, &[u8])]) -> BTreeMap<String, Vec<u8>> {
+    files
+        .iter()
+        .map(|&(name, data)| (name.to_string(), data.to_vec()))
+        .collect()
 }
 
 fn payload(len: usize, salt: u8) -> Vec<u8> {
@@ -72,7 +80,7 @@ fn put(client: &Client, name: &str, data: &[u8], qos: QosOptions) {
 
 #[test]
 fn cancelled_reads_save_disk_ops_and_never_mutate() {
-    let sys = ring_system(true);
+    let sys = System::with_backend(Box::new(InMemoryBackend::new(speeds())), config());
     let client = Client::connect(&sys, sys.register_user());
     let data = payload(150_000, 1);
     // 3× redundancy: the file stores far more blocks than a decode
@@ -121,21 +129,13 @@ fn cancelled_reads_save_disk_ops_and_never_mutate() {
     assert_eq!(client.read(&h).unwrap(), data);
     client.close(h).unwrap();
     assert_eq!(sys.pool_outstanding_bytes(), 0);
+    common::assert_committed_state_matches(&sys, &model(&[("spec", &data)]));
 }
 
 #[test]
 fn ring_write_abort_rolls_back_and_retry_succeeds() {
     let (backend, switch) = ChaosBackend::new(InMemoryBackend::new(speeds()));
-    let sys = System::with_backend(
-        Box::new(backend),
-        SystemConfig {
-            block_bytes: 4 << 10,
-            encode_threads: 2,
-            pipeline_depth: 4,
-            io_ring: true,
-            ..Default::default()
-        },
-    );
+    let sys = System::with_backend(Box::new(backend), config());
     let client = Client::connect(&sys, sys.register_user());
     let data = payload(160_000, 2);
 
@@ -168,6 +168,7 @@ fn ring_write_abort_rolls_back_and_retry_succeeds() {
     assert_eq!(client.read(&h).unwrap(), data);
     client.close(h).unwrap();
     assert_eq!(sys.pool_outstanding_bytes(), 0);
+    common::assert_committed_state_matches(&sys, &model(&[("fresh", &data)]));
 }
 
 /// Blocks the first commit dispatch in service while later submissions
@@ -301,20 +302,19 @@ impl StorageBackend for GateBackend {
     }
 
     fn try_shard(&mut self) -> Option<Vec<Box<dyn DiskShard>>> {
-        let gate = self.gate.clone();
-        let log = self.log.clone();
-        self.inner.try_shard().map(|shards| {
+        let shards = self.inner.try_shard()?;
+        Some(
             shards
                 .into_iter()
                 .map(|inner| {
                     Box::new(GateShard {
                         inner,
-                        gate: gate.clone(),
-                        log: log.clone(),
+                        gate: self.gate.clone(),
+                        log: self.log.clone(),
                     }) as Box<dyn DiskShard>
                 })
-                .collect()
-        })
+                .collect(),
+        )
     }
 }
 
@@ -327,8 +327,7 @@ fn cross_access_batches_respect_submission_order_and_cancel_revokes_queued_write
         gate: gate.clone(),
         log: log.clone(),
     };
-    let sharded = Arc::new(ShardedBackend::new(Box::new(backend), true));
-    assert!(sharded.is_sharded());
+    let sharded = Arc::new(ShardedBackend::new(Box::new(backend)));
     let ring = IoRing::start(
         sharded.clone(),
         RingConfig {
@@ -392,9 +391,9 @@ fn cross_access_batches_respect_submission_order_and_cancel_revokes_queued_write
 }
 
 #[test]
-fn seeded_persistent_faults_replay_identically_ring_vs_blocking() {
+fn seeded_persistent_faults_replay_identically_threaded_vs_stepped() {
     // Decoded bytes, committed layouts, and per-disk byte counts must be
-    // identical with the ring on or off AND under either wave policy,
+    // identical on either executor AND under either wave policy,
     // through damage, an offline window, and a scrub sweep. Persistent
     // faults only — see the module doc for why budgeted fault switches
     // are excluded.
@@ -405,21 +404,19 @@ fn seeded_persistent_faults_replay_identically_ring_vs_blocking() {
     // audits every stored id the read didn't verify before committing,
     // so the committed set is the full damage set in every run and the
     // schedule moves wall-clock only. This test pins that guarantee by
-    // comparing Static and Adaptive ring runs (and the blocking oracle)
-    // for byte-identical committed state.
-    let run = |io_ring: bool, read_policy: ReadPolicy| {
-        let sys = System::with_backend(
-            Box::new(InMemoryBackend::new(speeds())),
-            SystemConfig {
-                block_bytes: 4 << 10,
-                encode_threads: 2,
-                pipeline_depth: 4,
-                io_ring,
-                read_policy,
-                ..Default::default()
-            },
-        );
-        assert_eq!(sys.uses_io_ring(), io_ring);
+    // comparing Static and Adaptive threaded runs (and the stepped
+    // executor) for byte-identical committed state.
+    let run = |stepped: bool, read_policy: ReadPolicy| {
+        let backend = Box::new(InMemoryBackend::new(speeds()));
+        let config = SystemConfig {
+            read_policy,
+            ..config()
+        };
+        let sys = if stepped {
+            System::stepped(backend, config)
+        } else {
+            System::with_backend(backend, config)
+        };
         let client = Client::connect(&sys, sys.register_user());
         let alpha = payload(200_000, 11);
         let beta = payload(140_000, 12);
@@ -450,6 +447,7 @@ fn seeded_persistent_faults_replay_identically_ring_vs_blocking() {
             client.close(h).unwrap();
         }
         assert_eq!(sys.pool_outstanding_bytes(), 0);
+        common::assert_committed_state_matches(&sys, &model(&[("alpha", &alpha), ("beta", &beta)]));
 
         let mut state = String::new();
         for name in sys.list_files() {
@@ -466,17 +464,17 @@ fn seeded_persistent_faults_replay_identically_ring_vs_blocking() {
         (decoded, used, state)
     };
 
-    let ring_static = run(true, ReadPolicy::Static);
-    let ring_adaptive = run(true, ReadPolicy::adaptive());
-    let blocking = run(false, ReadPolicy::Static);
+    let ring_static = run(false, ReadPolicy::Static);
+    let ring_adaptive = run(false, ReadPolicy::adaptive());
+    let stepped = run(true, ReadPolicy::Static);
     assert_eq!(ring_static.0[0], payload(200_000, 11));
     assert_eq!(ring_static.0[1], payload(140_000, 12));
     assert_eq!(
-        ring_static, blocking,
-        "ring diverged from the blocking oracle"
+        ring_static, stepped,
+        "threaded ring diverged from the stepped executor"
     );
     assert_eq!(
-        ring_adaptive, blocking,
+        ring_adaptive, stepped,
         "adaptive wave policy changed committed state, not just wall-clock"
     );
 }

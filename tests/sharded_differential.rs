@@ -1,18 +1,22 @@
-//! Differential oracle for the sharded backend.
+//! Differential suite for the I/O path: random serial schedules —
+//! create, overwrite, in-place update, delete, read — against an in-test
+//! reference model.
 //!
-//! The sharded submission layer (per-disk locks, routing, group commit)
-//! is a pure performance refactor: for any schedule of operations it
-//! must commit *exactly* the state the old single-lock backend would
-//! have. These properties run random serial schedules — create,
-//! overwrite, in-place update, delete, read — against a sharded system
-//! and a whole-backend system side by side and require the final states
-//! to match in every observable dimension: file listing, per-file layout
-//! and generation parity, read-back bytes (also checked against an
-//! in-test model of the expected contents), and per-disk byte counts.
+//! Every schedule ends with the shared model check
+//! ([`common::assert_committed_state_matches`]): every committed block is
+//! the LT re-encode of the model's bytes under its recorded checksum, and
+//! no orphan bytes remain. On top of that, the threaded ring (per-disk
+//! workers, timing-dependent batching and cancellation) must commit
+//! exactly the state of the stepped executor (deterministic,
+//! one-dispatch-at-a-time), and group-commit batch size must be invisible
+//! — in every observable dimension: file listing, per-file layout and
+//! generation parity, read-back bytes, and per-disk byte counts.
 //!
 //! Deliberately *no* pinned layouts here: the dynamic planner reads live
-//! usage, so any divergence in how the two backends account bytes or
-//! route writes snowballs into different layouts and fails loudly.
+//! usage, so any divergence in how the executors account bytes or route
+//! writes snowballs into different layouts and fails loudly.
+
+mod common;
 
 use std::collections::BTreeMap;
 
@@ -58,27 +62,26 @@ fn fname(file: usize) -> String {
     format!("diff-{file}")
 }
 
-fn make_system(sharded: bool, group_commit: usize, io_ring: bool) -> System {
+fn make_system(group_commit: usize, stepped: bool) -> System {
     let speeds: Vec<f64> = (0..DISKS).map(|i| 12e6 + i as f64 * 7e6).collect();
-    let sys = System::with_backend(
-        Box::new(InMemoryBackend::new(speeds)),
-        SystemConfig {
-            block_bytes: 4 << 10,
-            encode_threads: 2,
-            pipeline_depth: 4,
-            sharded,
-            group_commit,
-            io_ring,
-            ..Default::default()
-        },
-    );
-    assert_eq!(sys.is_sharded(), sharded);
-    assert_eq!(sys.uses_io_ring(), io_ring);
-    sys
+    let backend = Box::new(InMemoryBackend::new(speeds));
+    let config = SystemConfig {
+        block_bytes: 4 << 10,
+        encode_threads: 2,
+        pipeline_depth: 4,
+        group_commit,
+        ..Default::default()
+    };
+    if stepped {
+        System::stepped(backend, config)
+    } else {
+        System::with_backend(backend, config)
+    }
 }
 
 /// Run `ops` serially, mirroring every mutation into `model` (the
-/// expected plain-bytes content per live file).
+/// expected plain-bytes content per live file), then check the committed
+/// state against the model.
 fn run_schedule(sys: &System, client: &Client, ops: &[Op], model: &mut BTreeMap<String, Vec<u8>>) {
     for op in ops {
         match *op {
@@ -127,6 +130,7 @@ fn run_schedule(sys: &System, client: &Client, ops: &[Op], model: &mut BTreeMap<
         }
     }
     assert_eq!(sys.pool_outstanding_bytes(), 0, "schedule leaked buffers");
+    common::assert_committed_state_matches(sys, model);
 }
 
 /// Everything an outside observer can see of the committed state.
@@ -157,38 +161,6 @@ fn observe(sys: &System, client: &Client) -> Observed {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
-    /// Sharded and whole-backend systems commit identical state for any
-    /// serial schedule, and that state matches the plain-bytes model.
-    #[test]
-    fn sharded_matches_single_lock_backend(
-        raw in proptest::collection::vec(
-            ((0usize..4, 0usize..4), (1usize..24_000, any::<u8>(), any::<u16>())),
-            1..10,
-        ),
-    ) {
-        let ops = decode_ops(&raw);
-        let sharded = make_system(true, 8, false);
-        let whole = make_system(false, 8, false);
-        let client_a = Client::connect(&sharded, sharded.register_user());
-        let client_b = Client::connect(&whole, whole.register_user());
-        let mut model_a = BTreeMap::new();
-        let mut model_b = BTreeMap::new();
-        run_schedule(&sharded, &client_a, &ops, &mut model_a);
-        run_schedule(&whole, &client_b, &ops, &mut model_b);
-        prop_assert_eq!(&model_a, &model_b);
-
-        let got_sharded = observe(&sharded, &client_a);
-        let got_whole = observe(&whole, &client_b);
-        prop_assert_eq!(&got_sharded, &got_whole, "sharded backend diverged");
-
-        // And both agree with the model's view of the world.
-        let live: Vec<String> = model_a.keys().cloned().collect();
-        prop_assert_eq!(&got_sharded.0, &live);
-        for (name, _, _, bytes) in &got_sharded.1 {
-            prop_assert_eq!(bytes, model_a.get(name).unwrap());
-        }
-    }
-
     /// Group commit batch size is invisible in the committed state: any
     /// schedule lands identically with batching off, default, and large.
     #[test]
@@ -202,7 +174,7 @@ proptest! {
         let ops = decode_ops(&raw);
         let mut states = Vec::new();
         for gc in [1usize, 8, batch] {
-            let sys = make_system(true, gc, false);
+            let sys = make_system(gc, true);
             let client = Client::connect(&sys, sys.register_user());
             let mut model = BTreeMap::new();
             run_schedule(&sys, &client, &ops, &mut model);
@@ -212,35 +184,35 @@ proptest! {
         prop_assert_eq!(&states[1], &states[2]);
     }
 
-    /// The async I/O ring is a pure performance refactor over the
-    /// blocking sharded path: any serial schedule commits byte-identical
-    /// state — same file listing, layouts, generation parity, read-back
-    /// bytes, and per-disk byte counts — with the ring on or off.
+    /// The threaded ring is a pure performance refactor over the stepped
+    /// executor: any serial schedule commits byte-identical state — same
+    /// file listing, layouts, generation parity, read-back bytes, and
+    /// per-disk byte counts — whichever executor services the queues.
     #[test]
-    fn io_ring_matches_blocking_path(
+    fn threaded_ring_matches_stepped_executor(
         raw in proptest::collection::vec(
             ((0usize..4, 0usize..4), (1usize..24_000, any::<u8>(), any::<u16>())),
             1..10,
         ),
     ) {
         let ops = decode_ops(&raw);
-        let ring = make_system(true, 8, true);
-        let blocking = make_system(true, 8, false);
-        let client_a = Client::connect(&ring, ring.register_user());
-        let client_b = Client::connect(&blocking, blocking.register_user());
+        let threaded = make_system(8, false);
+        let stepped = make_system(8, true);
+        let client_a = Client::connect(&threaded, threaded.register_user());
+        let client_b = Client::connect(&stepped, stepped.register_user());
         let mut model_a = BTreeMap::new();
         let mut model_b = BTreeMap::new();
-        run_schedule(&ring, &client_a, &ops, &mut model_a);
-        run_schedule(&blocking, &client_b, &ops, &mut model_b);
+        run_schedule(&threaded, &client_a, &ops, &mut model_a);
+        run_schedule(&stepped, &client_b, &ops, &mut model_b);
         prop_assert_eq!(&model_a, &model_b);
 
-        let got_ring = observe(&ring, &client_a);
-        let got_blocking = observe(&blocking, &client_b);
-        prop_assert_eq!(&got_ring, &got_blocking, "io ring diverged");
+        let got_threaded = observe(&threaded, &client_a);
+        let got_stepped = observe(&stepped, &client_b);
+        prop_assert_eq!(&got_threaded, &got_stepped, "threaded ring diverged");
 
         let live: Vec<String> = model_a.keys().cloned().collect();
-        prop_assert_eq!(&got_ring.0, &live);
-        for (name, _, _, bytes) in &got_ring.1 {
+        prop_assert_eq!(&got_threaded.0, &live);
+        for (name, _, _, bytes) in &got_threaded.1 {
             prop_assert_eq!(bytes, model_a.get(name).unwrap());
         }
     }
