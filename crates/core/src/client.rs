@@ -39,7 +39,7 @@ use crate::admission::AdmissionController;
 use crate::backend::{InMemoryBackend, StorageBackend};
 use crate::credentials::{CredentialChain, KeyAuthority, PublicKey, Rights};
 use crate::error::StoreError;
-use crate::integrity::crc32c;
+use crate::integrity::{self, crc32c, Verdict};
 use crate::metadata::{gen_key, AccessMode, CodingSpec, DiskInfo, FileMeta, MetadataServer};
 use crate::metastore::{MetaPlane, Metastore, MetastoreConfig, RecoveryReport};
 use crate::planner::{LayoutPlanner, ReadPolicy};
@@ -896,8 +896,8 @@ impl Client {
             // Blocks a disk refused, with their encoded bytes — redirected
             // below without re-encoding.
             let mut displaced: Vec<(u32, Block)> = Vec::new();
-            // End-to-end integrity: digest every coded block once, as it
-            // leaves the encoder, whatever disk it eventually lands on.
+            // End-to-end integrity: every coded block's digest, taken once
+            // by its encode worker, whatever disk it eventually lands on.
             let mut checksums: BTreeMap<u32, u32> = BTreeMap::new();
 
             // Writes stream into the per-disk queues with a bounded
@@ -939,10 +939,10 @@ impl Client {
                 &job_ids,
                 self.system.inner.config.encode_threads,
                 self.system.inner.config.pipeline_depth,
-                |idx, coded, data| {
+                |idx, coded, data, crc| {
                     let (_, disk, _) = jobs[idx];
                     let key = gen_key(file_id, coded, new_odd.contains(&coded));
-                    checksums.insert(coded, crc32c(&data));
+                    checksums.insert(coded, crc);
                     writer.submit(disk, key, data, &mut on_write)
                 },
             )
@@ -1324,20 +1324,16 @@ impl Client {
                             // read) — is silent corruption, demoted to
                             // missing. Blocks with no recorded digest
                             // (pre-checksum metadata) pass unverified.
-                            let accepted = if buf.len() != block_len {
-                                st.corrupt += 1;
-                                false
-                            } else {
-                                match st.meta.checksums.get(&coded) {
-                                    Some(&want) if crc32c(&buf) != want => {
-                                        st.corrupt += 1;
-                                        false
-                                    }
-                                    Some(_) => true,
-                                    None => {
-                                        st.unverified += 1;
-                                        true
-                                    }
+                            let want = st.meta.checksums.get(&coded).copied();
+                            let accepted = match integrity::check(&buf, block_len, want) {
+                                Verdict::Verified => true,
+                                Verdict::NoDigest => {
+                                    st.unverified += 1;
+                                    true
+                                }
+                                Verdict::Corrupt => {
+                                    st.corrupt += 1;
+                                    false
                                 }
                             };
                             if accepted {
@@ -1652,13 +1648,14 @@ impl Client {
                     max_attempts,
                     |_| {},
                 );
+                let want = meta.checksums.get(&id).copied();
                 let ok = result.is_ok()
-                    && scratch.len() == block_len
-                    && match meta.checksums.get(&id) {
-                        Some(&want) => crc32c(&scratch) == want,
+                    && match integrity::check(&scratch, block_len, want) {
+                        Verdict::Verified => true,
                         // Legacy digest-less block: the decoded data is
                         // ground truth, compare against the re-encode.
-                        None => scratch == code.encode_block(blocks, id as usize),
+                        Verdict::NoDigest => scratch == code.encode_block(blocks, id as usize),
+                        Verdict::Corrupt => false,
                     };
                 if !ok {
                     damage.insert(id);
@@ -1827,10 +1824,10 @@ impl Client {
                 &dirty_coded,
                 self.system.inner.config.encode_threads,
                 self.system.inner.config.pipeline_depth,
-                |_, coded, data| {
+                |_, coded, data, crc| {
                     let disk = disk_of[&coded];
                     let key = gen_key(meta.file_id, coded, new_odd.contains(&coded));
-                    new_checksums.insert(coded, crc32c(&data));
+                    new_checksums.insert(coded, crc);
                     writer.submit(disk, key, data, &mut on_write)
                 },
             )
@@ -2007,23 +2004,20 @@ impl Client {
                 |disk: usize, id: u32, read_ok: bool, buf: Vec<u8>| -> Option<Vec<u8>> {
                     let mut accepted = false;
                     if read_ok {
-                        if buf.len() == block_len {
-                            match meta.checksums.get(&id) {
-                                Some(&want) => {
-                                    if crc32c(&buf) == want {
-                                        verified.insert(id);
-                                        accepted = true;
-                                    }
-                                }
-                                None => {
-                                    legacy.insert(id, crc32c(&buf));
-                                    accepted = true;
-                                }
+                        let want = meta.checksums.get(&id).copied();
+                        match integrity::check(&buf, block_len, want) {
+                            Verdict::Verified => {
+                                verified.insert(id);
+                                accepted = true;
                             }
-                        }
-                        if !accepted {
-                            corrupt.insert(id);
-                            corrupt_home.insert(id, disk);
+                            Verdict::NoDigest => {
+                                legacy.insert(id, crc32c(&buf));
+                                accepted = true;
+                            }
+                            Verdict::Corrupt => {
+                                corrupt.insert(id);
+                                corrupt_home.insert(id, disk);
+                            }
                         }
                     } else {
                         missing += 1;
@@ -2433,9 +2427,12 @@ fn delete_written(backend: &ShardedBackend, written: &[(usize, u64)]) {
 }
 
 /// Encode the coded blocks named by `ids` on up to `threads` workers and
-/// feed each encoded block to `consume` **in `ids` order**, overlapping
-/// encode (CPU) with whatever `consume` does (disk I/O) — the bounded
-/// producer/consumer pipeline of the write path.
+/// feed each encoded block, with its CRC32C digest, to `consume` **in
+/// `ids` order**, overlapping encode and checksumming (CPU) with whatever
+/// `consume` does (disk I/O) — the bounded producer/consumer pipeline of
+/// the write path. The digest is taken by the worker that encoded the
+/// block, while its bytes are still hot in that core's cache, so the
+/// consumer thread never checksums.
 ///
 /// Workers claim indices from a shared counter and may run at most
 /// `depth` blocks ahead of the consumer (the reordering window doubles as
@@ -2457,12 +2454,12 @@ fn encode_write_pipelined<F>(
     mut consume: F,
 ) -> Result<(), StoreError>
 where
-    F: FnMut(usize, u32, Block) -> Result<(), StoreError>,
+    F: FnMut(usize, u32, Block, u32) -> Result<(), StoreError>,
 {
     if depth == 0 || ids.len() <= 1 {
         let encoded = encode_ids_parallel(code, blocks, ids, threads);
-        for (i, (&coded, data)) in ids.iter().zip(encoded).enumerate() {
-            consume(i, coded, data)?;
+        for (i, (&coded, (data, crc))) in ids.iter().zip(encoded).enumerate() {
+            consume(i, coded, data, crc)?;
         }
         return Ok(());
     }
@@ -2471,8 +2468,9 @@ where
 
     use std::sync::{Condvar, Mutex as StdMutex};
     struct Shared {
-        /// Encoded blocks parked until the consumer reaches their index.
-        slots: Vec<Option<Block>>,
+        /// Encoded blocks and their digests, parked until the consumer
+        /// reaches their index.
+        slots: Vec<Option<(Block, u32)>>,
         /// Next index the consumer will take; workers stay < cursor+depth.
         cursor: usize,
         /// Abort flag (consumer error): workers drain without depositing.
@@ -2508,19 +2506,20 @@ where
                     }
                     let mut buf = pool.get_scratch();
                     code.encode_block_into(blocks, ids[i] as usize, &mut buf);
+                    let crc = crc32c(&buf);
                     pool.mark_consumed(1); // ownership moves to the consumer
                     let mut s = shared.lock().unwrap();
                     if s.stop {
                         break;
                     }
-                    s.slots[i] = Some(buf);
+                    s.slots[i] = Some((buf, crc));
                     ready.notify_all();
                 }
             });
         }
         let mut s = shared.lock().unwrap();
         for (i, &coded) in ids.iter().enumerate() {
-            let data = loop {
+            let (data, crc) = loop {
                 if let Some(d) = s.slots[i].take() {
                     break d;
                 }
@@ -2531,7 +2530,7 @@ where
             s.cursor = i + 1;
             space.notify_all();
             drop(s);
-            if let Err(e) = consume(i, coded, data) {
+            if let Err(e) = consume(i, coded, data, crc) {
                 result = Err(e);
                 shared.lock().unwrap().stop = true;
                 space.notify_all();
@@ -2545,10 +2544,11 @@ where
 }
 
 /// Encode the coded blocks named by `ids` across up to `threads` worker
-/// threads, returning the encoded blocks *in `ids` order* — the output is
-/// byte-identical to a sequential `encode_block` loop at any thread
-/// count, because each coded block depends only on the read-only segment
-/// data and the output slot order is fixed up front.
+/// threads, returning the encoded blocks and their CRC32C digests *in
+/// `ids` order* — the output is byte-identical to a sequential
+/// `encode_block` loop at any thread count, because each coded block
+/// depends only on the read-only segment data and the output slot order
+/// is fixed up front.
 ///
 /// Each worker owns a per-worker [`BlockPool`] for its output buffers, so
 /// the zero-copy discipline holds across threads without sharing: a
@@ -2560,17 +2560,21 @@ fn encode_ids_parallel(
     blocks: &[Vec<u8>],
     ids: &[u32],
     threads: usize,
-) -> Vec<Block> {
+) -> Vec<(Block, u32)> {
     let block_len = blocks.first().map_or(0, |b| b.len());
     let threads = threads.clamp(1, ids.len().max(1));
     if threads == 1 {
         return ids
             .iter()
-            .map(|&j| code.encode_block(blocks, j as usize))
+            .map(|&j| {
+                let data = code.encode_block(blocks, j as usize);
+                let crc = crc32c(&data);
+                (data, crc)
+            })
             .collect();
     }
     let chunk = ids.len().div_ceil(threads);
-    let mut out: Vec<Block> = vec![Vec::new(); ids.len()];
+    let mut out: Vec<(Block, u32)> = vec![(Vec::new(), 0); ids.len()];
     std::thread::scope(|scope| {
         for (slots, id_chunk) in out.chunks_mut(chunk).zip(ids.chunks(chunk)) {
             scope.spawn(move || {
@@ -2578,7 +2582,8 @@ fn encode_ids_parallel(
                 for (slot, &j) in slots.iter_mut().zip(id_chunk) {
                     let mut buf = pool.get_scratch();
                     code.encode_block_into(blocks, j as usize, &mut buf);
-                    *slot = buf;
+                    let crc = crc32c(&buf);
+                    *slot = (buf, crc);
                 }
             });
         }
@@ -3026,7 +3031,8 @@ mod tests {
         // depth=0 barrier mode — the committed layout, generation
         // parities, per-disk byte counts, and decoded contents must match
         // the sequential baseline exactly, across write, overwrite, and
-        // update.
+        // update. The digests the encode workers take must match too, and
+        // equal the reference CRC32C of each re-encoded block.
         let data = payload(300_000);
         let v2: Vec<u8> = data.iter().map(|b| b ^ 0x5A).collect();
         let speeds: Vec<f64> = (0..8).map(|i| 10e6 + i as f64 * 6e6).collect();
@@ -3068,6 +3074,31 @@ mod tests {
         expect[7_000..10_000].copy_from_slice(&vec![0x11u8; 3_000]);
         let (_, _, base_meta, base_got, base_used) = &outcomes[0];
         assert_eq!(base_got, &expect);
+        let spec = &base_meta.coding;
+        let code = LtCode::plan(spec.k, spec.n, spec.params, spec.seed).unwrap();
+        let originals = split_blocks(&expect, spec.block_bytes as usize, spec.k);
+        let stored: BTreeSet<u32> = base_meta
+            .layout
+            .iter()
+            .flat_map(|(_, ids)| ids.iter().copied())
+            .collect();
+        assert_eq!(
+            base_meta
+                .checksums
+                .keys()
+                .copied()
+                .collect::<BTreeSet<u32>>(),
+            stored,
+            "every stored block carries a digest"
+        );
+        for (&id, &crc) in &base_meta.checksums {
+            let block = code.encode_block(&originals, id as usize);
+            assert_eq!(
+                Some(crc),
+                integrity::crc32c_on(integrity::Tier::Table, &block),
+                "block {id}: digest is not the reference CRC32C of its bytes"
+            );
+        }
         for (threads, depth, meta, got, used) in &outcomes[1..] {
             let tag = format!("threads={threads} depth={depth}");
             assert_eq!(meta.layout, base_meta.layout, "{tag}: layout diverged");
@@ -3077,6 +3108,10 @@ mod tests {
             );
             assert_eq!(got, base_got, "{tag}: decoded bytes diverged");
             assert_eq!(used, base_used, "{tag}: on-disk bytes diverged");
+            assert_eq!(
+                meta.checksums, base_meta.checksums,
+                "{tag}: digests diverged"
+            );
         }
     }
 

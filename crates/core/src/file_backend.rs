@@ -9,9 +9,17 @@
 //! Layout: `<root>/disk-<id>/<block-key-hex>.blk`, plus a `speeds` file
 //! recording the per-disk nominal bandwidths so a reopened store plans the
 //! same way.
+//!
+//! Each disk's byte count is a counter shared by the backend and its
+//! shards, seeded by one directory scan at [`FileBackend::open`] and kept
+//! current by writes and deletes. The client asks every touched disk for
+//! its usage after every write, so a per-call directory scan would make
+//! writes slower as the store grows.
 
 use std::io::Write as _;
 use std::path::{Path, PathBuf};
+use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::Arc;
 
 use crate::backend::{DiskShard, RefusedWrite, StorageBackend};
 use crate::error::StoreError;
@@ -22,6 +30,8 @@ use crate::error::StoreError;
 pub struct FileBackend {
     root: PathBuf,
     speeds: Vec<f64>,
+    /// Bytes stored per disk, shared with every shard of that disk.
+    used: Vec<Arc<AtomicU64>>,
 }
 
 fn io_err(disk: usize, block: u64) -> StoreError {
@@ -60,10 +70,13 @@ impl FileBackend {
             }
             speeds
         };
+        let mut used = Vec::with_capacity(speeds.len());
         for d in 0..speeds.len() {
-            std::fs::create_dir_all(root.join(format!("disk-{d}"))).map_err(|_| io_err(d, 0))?;
+            let dir = disk_dir(&root, d);
+            std::fs::create_dir_all(&dir).map_err(|_| io_err(d, 0))?;
+            used.push(Arc::new(AtomicU64::new(scan_used(&dir))));
         }
-        Ok(FileBackend { root, speeds })
+        Ok(FileBackend { root, speeds, used })
     }
 
     /// Disk `disk`'s directory as a shard; `None` past the last disk.
@@ -73,6 +86,7 @@ impl FileBackend {
             root: self.root.clone(),
             disk,
             speed: *self.speeds.get(disk)?,
+            used: self.used[disk].clone(),
             offline: false,
             reads: 0,
             writes: 0,
@@ -129,12 +143,38 @@ impl StorageBackend for FileBackend {
     }
 }
 
+fn disk_dir(root: &Path, disk: usize) -> PathBuf {
+    root.join(format!("disk-{disk}"))
+}
+
+/// Total length of the files in `dir`: the directory scan the per-disk
+/// counter replaces after open.
+fn scan_used(dir: &Path) -> u64 {
+    std::fs::read_dir(dir)
+        .map(|entries| {
+            entries
+                .filter_map(|e| e.ok())
+                .filter_map(|e| e.metadata().ok())
+                .map(|m| m.len())
+                .sum()
+        })
+        .unwrap_or(0)
+}
+
+/// Length of the file at `path`, 0 when it does not exist.
+fn file_len(path: &Path) -> u64 {
+    std::fs::metadata(path).map_or(0, |m| m.len())
+}
+
 /// One disk directory of a [`FileBackend`], as an independent shard.
 #[derive(Debug)]
 struct FileShard {
     root: PathBuf,
     disk: usize,
     speed: f64,
+    /// This disk's byte counter. A value, not an invariant another field
+    /// depends on, so plain `Relaxed` updates suffice.
+    used: Arc<AtomicU64>,
     offline: bool,
     reads: u64,
     writes: u64,
@@ -142,9 +182,16 @@ struct FileShard {
 
 impl FileShard {
     fn block_path(&self, block: u64) -> PathBuf {
-        self.root
-            .join(format!("disk-{}", self.disk))
-            .join(format!("{block:016x}.blk"))
+        disk_dir(&self.root, self.disk).join(format!("{block:016x}.blk"))
+    }
+
+    /// Account a file going from `old` to `new` bytes.
+    fn resize(&self, old: u64, new: u64) {
+        if new >= old {
+            self.used.fetch_add(new - old, Ordering::Relaxed);
+        } else {
+            self.used.fetch_sub(old - new, Ordering::Relaxed);
+        }
     }
 }
 
@@ -157,9 +204,16 @@ impl DiskShard for FileShard {
         if self.offline {
             return Err(RefusedWrite::new(io_err(self.disk, block), data));
         }
-        if std::fs::write(self.block_path(block), &data).is_err() {
+        // Scrub rewrites corrupt copies in place under the same key, so
+        // the old length must come off the counter.
+        let path = self.block_path(block);
+        let old = file_len(&path);
+        if std::fs::write(&path, &data).is_err() {
+            // A failed write may have truncated or partly written the file.
+            self.resize(old, file_len(&path));
             return Err(RefusedWrite::new(io_err(self.disk, block), data));
         }
+        self.resize(old, data.len() as u64);
         self.writes += 1;
         Ok(())
     }
@@ -181,7 +235,11 @@ impl DiskShard for FileShard {
     }
 
     fn delete_block(&mut self, block: u64) -> Result<(), StoreError> {
-        std::fs::remove_file(self.block_path(block)).map_err(|_| io_err(self.disk, block))
+        let path = self.block_path(block);
+        let old = file_len(&path);
+        std::fs::remove_file(&path).map_err(|_| io_err(self.disk, block))?;
+        self.resize(old, 0);
+        Ok(())
     }
 
     fn speed(&self) -> f64 {
@@ -189,16 +247,7 @@ impl DiskShard for FileShard {
     }
 
     fn used(&self) -> u64 {
-        let dir = self.root.join(format!("disk-{}", self.disk));
-        std::fs::read_dir(dir)
-            .map(|entries| {
-                entries
-                    .filter_map(|e| e.ok())
-                    .filter_map(|e| e.metadata().ok())
-                    .map(|m| m.len())
-                    .sum()
-            })
-            .unwrap_or(0)
+        self.used.load(Ordering::Relaxed)
     }
 
     fn count_read(&mut self) {
@@ -218,7 +267,8 @@ impl DiskShard for FileShard {
     }
 
     /// At-rest bit rot on a durable store: flips one byte in each victim
-    /// block file in place (length and readability preserved). Victims
+    /// block file in place (length and readability preserved, so the byte
+    /// counter needs no adjustment). Victims
     /// depend only on the disk's contents, `fraction`, and `seq`.
     fn corrupt_random_blocks(
         &mut self,
@@ -227,7 +277,7 @@ impl DiskShard for FileShard {
     ) -> Vec<u64> {
         use robustore_simkit::rng::uniform01;
         assert!((0.0..=1.0).contains(&fraction), "fraction in 0..=1");
-        let dir = self.root.join(format!("disk-{}", self.disk));
+        let dir = disk_dir(&self.root, self.disk);
         let mut keys: Vec<u64> = std::fs::read_dir(&dir)
             .map(|entries| {
                 entries
@@ -350,6 +400,53 @@ mod tests {
         }
         for key in (0..32).filter(|k| !rotted.contains(k)) {
             assert_eq!(read(&*disk, key).unwrap(), vec![key as u8; 16]);
+        }
+        std::fs::remove_dir_all(root).ok();
+    }
+
+    #[test]
+    fn byte_counter_tracks_a_fresh_scan() {
+        // A seeded mix of every operation that changes (or must not
+        // change) a disk's bytes; after each step the shared counter must
+        // equal a full directory scan, across a reopen too.
+        use rand::{Rng, SeedableRng};
+        use robustore_simkit::SeedSequence;
+        let root = temp_root("counter");
+        let mut rng = rand::rngs::SmallRng::seed_from_u64(0xB17E);
+        let speeds = vec![10e6, 20e6];
+        let check = |disks: &[Box<dyn DiskShard>], step: &str| {
+            for d in disks {
+                let scanned = scan_used(&disk_dir(&root, d.disk_id()));
+                assert_eq!(d.used(), scanned, "disk {} after {step}", d.disk_id());
+            }
+        };
+        for round in 0..2 {
+            let mut disks = shards(FileBackend::open(&root, speeds.clone()).unwrap());
+            check(&disks, "open");
+            for step in 0..300 {
+                let d = rng.gen_range(0..disks.len());
+                let key = rng.gen_range(0..24u64);
+                match rng.gen_range(0..10) {
+                    // Writes and same-key overwrites of varying lengths.
+                    0..=4 => {
+                        let len = rng.gen_range(0..300usize);
+                        disks[d].write_block(key, vec![step as u8; len]).unwrap();
+                    }
+                    // Deletes, including of keys that were never written
+                    // (the error leaves the counter alone).
+                    5..=7 => {
+                        let _ = disks[d].delete_block(key);
+                    }
+                    8 => {
+                        let _ = disks[d].delete_block(1000 + key);
+                    }
+                    _ => {
+                        let seq = SeedSequence::new(round * 1000 + step);
+                        disks[d].corrupt_random_blocks(0.3, &seq);
+                    }
+                }
+                check(&disks, &format!("round {round} step {step}"));
+            }
         }
         std::fs::remove_dir_all(root).ok();
     }
