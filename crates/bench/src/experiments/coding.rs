@@ -63,20 +63,33 @@ pub fn table5_1(_trials: u64) -> String {
     out
 }
 
-/// Kernel benchmark: RS and LT coding bandwidth under the scalar
-/// reference vs the vector (SWAR + nibble-table) kernels, on identical
-/// inputs, plus the CRC32C integrity kernel on each of its tiers. Writes
-/// machine-readable rows to `BENCH_coding.json` — schema
-/// `{kernel, code, k, encode_mbps, decode_mbps, host}` — alongside the
-/// rendered table, so the speedup claims in `EXPERIMENTS.md` are backed
-/// by same-host data. CRC32C rows use `code: "crc32c"` with `k` the input
-/// length in bytes; a checksum has no inverse (the write-side digest and
-/// the read-side verify run the same kernel), so both rate fields carry
-/// the digest rate. `--quick` (or `--trials 1`) shrinks the data sizes
-/// for CI smoke runs.
+/// Kernel benchmark: every coding kernel this CPU runs, timed on the
+/// primitive ops at the RS and LT shapes; whole-code RS and LT bandwidth
+/// at the dispatched kernel; and the CRC32C integrity kernel on each of
+/// its tiers. Writes machine-readable rows to `BENCH_coding.json` —
+/// schema `{kernel, code, k, encode_mbps, decode_mbps, host}` — alongside
+/// the rendered table, so the speedup claims in `EXPERIMENTS.md` are
+/// backed by same-host data. Row families:
+///
+/// * `rs-row`, `k` = K: one RS output row from K blocks of `16 MB / K`
+///   bytes — `encode_mbps` is the encoder's Horner loop (`gf_scale` +
+///   `xor_into` per source), `decode_mbps` the decoder's fused
+///   `gf_axpy_multi` of K sources; rates count the K input blocks.
+/// * `xor`, `k` = block bytes: 32 sources XORed into one block (the LT
+///   encode and peel loop); both rate fields carry the same rate.
+/// * `rs` / `lt`, `k` = K: whole-code encode and decode, at the kernel
+///   `kernels::kernel()` dispatches to.
+/// * `crc32c`, `k` = input bytes: a checksum has no inverse (the
+///   write-side digest and the read-side verify run the same kernel), so
+///   both rate fields carry the digest rate.
+///
+/// Every kernel's primitive output is asserted equal to the scalar
+/// reference's. `--quick` (or `--trials 1`) shrinks the data sizes for CI
+/// smoke runs.
 pub fn bench_coding(trials: u64) -> String {
     use robustore_core::integrity::{crc32c_on, tier as crc_tier, Tier};
-    use robustore_erasure::{set_kernel, simd_available, Block, BlockPool, Kernel};
+    use robustore_erasure::kernels::{gf_axpy_multi_on, gf_scale_on, xor_into_on};
+    use robustore_erasure::{kernel, Block, BlockPool, Kernel};
     use std::hint::black_box;
 
     let quick = trials <= 1;
@@ -85,7 +98,17 @@ pub fn bench_coding(trials: u64) -> String {
     let reps = trials.clamp(1, 5);
     let rs_bytes: usize = if quick { 2 << 20 } else { 16 << 20 };
     let lt_block: usize = if quick { 4 << 10 } else { 64 << 10 };
+    let budget: usize = if quick { 8 << 20 } else { 64 << 20 };
     let seq = SeedSequence::new(MASTER_SEED ^ 0xBE7C);
+    let best = |mb: f64, f: &mut dyn FnMut()| -> f64 {
+        (0..reps)
+            .map(|_| {
+                let t = Instant::now();
+                f();
+                mb / t.elapsed().as_secs_f64()
+            })
+            .fold(0f64, f64::max)
+    };
 
     struct Row {
         kernel: &'static str,
@@ -96,20 +119,99 @@ pub fn bench_coding(trials: u64) -> String {
     }
     let mut rows: Vec<Row> = Vec::new();
 
-    // The kernels are measured back-to-back *within* each configuration,
-    // not in separate sweeps: host speed drifts on a minutes scale (this
-    // is a shared machine), and a ratio of two measurements taken minutes
-    // apart reflects the drift, not the code. The simd column appears
-    // only when the build has the `simd` feature and the CPU supports it;
-    // absence from BENCH_coding.json therefore means "not measurable
-    // here", never "measured at zero".
-    let mut kernels: Vec<(Kernel, &'static str)> =
-        vec![(Kernel::Scalar, "scalar"), (Kernel::Vector, "vector")];
-    if simd_available() {
-        kernels.push((Kernel::Simd, "simd"));
+    // The kernels are measured back-to-back *within* each shape, not in
+    // separate sweeps: host speed drifts on a minutes scale (this is a
+    // shared machine), and a ratio of two measurements taken minutes
+    // apart reflects the drift, not the code. A kernel the CPU cannot run
+    // has no rows: absence means "not measurable here", never "zero".
+    // Scalar comes first, so its outputs are the reference.
+    let kernels: Vec<Kernel> = Kernel::ALL.into_iter().filter(|k| k.available()).collect();
+    let dispatched = kernel();
+
+    // Reed–Solomon rows: dense GF(256) arithmetic.
+    for k in [4usize, 8, 16, 32] {
+        let block = rs_bytes / k;
+        let data: Vec<Block> = (0..k)
+            .map(|i| (0..block).map(|j| ((i * 31 + j * 7) % 256) as u8).collect())
+            .collect();
+        let srcs: Vec<(u8, &[u8])> = data
+            .iter()
+            .enumerate()
+            .map(|(i, b)| ((i * 37 + 2) as u8, b.as_slice()))
+            .collect();
+        let x = 0x53; // an evaluation point
+        let mb = rs_bytes as f64 / 1e6;
+        let mut want: Option<(Block, Block)> = None;
+        for &kern in &kernels {
+            let mut enc_row = vec![0u8; block];
+            let enc = best(mb, &mut || {
+                enc_row.copy_from_slice(&data[k - 1]);
+                for b in data[..k - 1].iter().rev() {
+                    gf_scale_on(kern, &mut enc_row, x);
+                    xor_into_on(kern, &mut enc_row, b);
+                }
+            });
+            let mut dec_row = vec![0u8; block];
+            let dec = best(mb, &mut || {
+                dec_row.fill(0);
+                gf_axpy_multi_on(kern, &mut dec_row, &srcs);
+            });
+            match &want {
+                None => want = Some((enc_row, dec_row)),
+                Some((e, d)) => assert!(
+                    *e == enc_row && *d == dec_row,
+                    "{} RS row diverges from the scalar reference at K={k}",
+                    kern.name()
+                ),
+            }
+            rows.push(Row {
+                kernel: kern.name(),
+                code: "rs-row",
+                k,
+                encode_mbps: enc,
+                decode_mbps: dec,
+            });
+        }
     }
 
-    // Reed–Solomon: dense GF(256) arithmetic — the axpy/scale kernels.
+    // XOR rows: the store's block sizes (16 KiB small files, 1 MiB bulk)
+    // and the LT rows' block size.
+    const XOR_SOURCES: usize = 32;
+    for len in [16usize << 10, 64 << 10, 1 << 20] {
+        let srcs: Vec<Block> = (0..XOR_SOURCES)
+            .map(|s| (0..len).map(|j| ((s * 7 + j * 13) % 251) as u8).collect())
+            .collect();
+        let iters = (budget / (XOR_SOURCES * len)).max(1);
+        let mb = (iters * XOR_SOURCES * len) as f64 / 1e6;
+        let mut want: Option<Block> = None;
+        for &kern in &kernels {
+            let mut acc = vec![0u8; len];
+            let rate = best(mb, &mut || {
+                for _ in 0..iters {
+                    for s in &srcs {
+                        xor_into_on(kern, &mut acc, black_box(s));
+                    }
+                }
+            });
+            match &want {
+                None => want = Some(acc),
+                Some(w) => assert!(
+                    *w == acc,
+                    "{} XOR diverges from the scalar reference at {len} bytes",
+                    kern.name()
+                ),
+            }
+            rows.push(Row {
+                kernel: kern.name(),
+                code: "xor",
+                k: len,
+                encode_mbps: rate,
+                decode_mbps: rate,
+            });
+        }
+    }
+
+    // Whole-code Reed–Solomon at the dispatched kernel.
     for k in [4usize, 8, 16, 32] {
         let n = 2 * k;
         let rs = ReedSolomon::new(k, n).expect("valid parameters");
@@ -118,35 +220,32 @@ pub fn bench_coding(trials: u64) -> String {
             .map(|i| (0..block).map(|j| ((i * 31 + j * 7) % 256) as u8).collect())
             .collect();
         let mb = rs_bytes as f64 / 1e6;
-        for &(kernel, kname) in &kernels {
-            set_kernel(kernel);
-            let (mut enc, mut dec) = (0f64, 0f64);
-            for rep in 0..reps {
-                let t = Instant::now();
-                let coded = rs.encode(&data).expect("encode");
-                enc = enc.max(mb / t.elapsed().as_secs_f64());
-                // Decode from the last K blocks (forces a real matrix solve).
-                let rx: Vec<_> = (k..2 * k).map(|i| (i, coded[i].clone())).collect();
-                let t = Instant::now();
-                let decoded = rs.decode(&rx).expect("decode");
-                dec = dec.max(mb / t.elapsed().as_secs_f64());
-                if rep == 0 {
-                    assert_eq!(decoded, data);
-                }
+        let (mut enc, mut dec) = (0f64, 0f64);
+        for rep in 0..reps {
+            let t = Instant::now();
+            let coded = rs.encode(&data).expect("encode");
+            enc = enc.max(mb / t.elapsed().as_secs_f64());
+            // Decode from the last K blocks (forces a real matrix solve).
+            let rx: Vec<_> = (k..2 * k).map(|i| (i, coded[i].clone())).collect();
+            let t = Instant::now();
+            let decoded = rs.decode(&rx).expect("decode");
+            dec = dec.max(mb / t.elapsed().as_secs_f64());
+            if rep == 0 {
+                assert_eq!(decoded, data);
             }
-            rows.push(Row {
-                kernel: kname,
-                code: "rs",
-                k,
-                encode_mbps: enc,
-                decode_mbps: dec,
-            });
         }
+        rows.push(Row {
+            kernel: dispatched.name(),
+            code: "rs",
+            k,
+            encode_mbps: enc,
+            decode_mbps: dec,
+        });
     }
 
-    // LT: pure XOR — the wide-XOR kernel. Coded buffers come from a
-    // BlockPool and every one returns to it, so reps after the first
-    // are allocation-free (the zero-copy receive path end to end).
+    // Whole-code LT at the dispatched kernel: pure XOR. Coded buffers come
+    // from a BlockPool and every one returns to it, so reps after the
+    // first are allocation-free (the zero-copy receive path end to end).
     for k in [128usize, 256, 512, 1024] {
         let n = 3 * k;
         let code = LtCode::plan(k, n, LtParams::default(), seq.seed_for("lt-plan", k as u64))
@@ -156,73 +255,65 @@ pub fn bench_coding(trials: u64) -> String {
             .collect();
         let mb = (k * lt_block) as f64 / 1e6;
         let mut pool = BlockPool::new(lt_block);
-        for &(kernel, kname) in &kernels {
-            set_kernel(kernel);
-            let (mut enc, mut dec) = (0f64, 0f64);
-            for rep in 0..reps {
-                let t = Instant::now();
-                let mut coded: Vec<Option<Block>> = (0..n)
-                    .map(|j| {
-                        let mut b = pool.get_scratch();
-                        code.encode_block_into(&data, j, &mut b);
-                        Some(b)
-                    })
-                    .collect();
-                enc = enc.max(mb / t.elapsed().as_secs_f64());
+        let (mut enc, mut dec) = (0f64, 0f64);
+        for rep in 0..reps {
+            let t = Instant::now();
+            let mut coded: Vec<Option<Block>> = (0..n)
+                .map(|j| {
+                    let mut b = pool.get_scratch();
+                    code.encode_block_into(&data, j, &mut b);
+                    Some(b)
+                })
+                .collect();
+            enc = enc.max(mb / t.elapsed().as_secs_f64());
 
-                let mut order: Vec<usize> = (0..n).collect();
-                order.shuffle(&mut seq.fork("lt-order", (k as u64) << 8 | rep));
-                let t = Instant::now();
-                let mut ltdec = LtDecoder::new(&code, lt_block);
-                for &j in &order {
-                    if ltdec.receive(j, coded[j].take().unwrap()) {
-                        break;
-                    }
+            let mut order: Vec<usize> = (0..n).collect();
+            order.shuffle(&mut seq.fork("lt-order", (k as u64) << 8 | rep));
+            let t = Instant::now();
+            let mut ltdec = LtDecoder::new(&code, lt_block);
+            for &j in &order {
+                if ltdec.receive(j, coded[j].take().unwrap()) {
+                    break;
                 }
-                dec = dec.max(mb / t.elapsed().as_secs_f64());
-                assert!(ltdec.is_complete());
-                pool.put_all(ltdec.drain_spares());
-                pool.put_all(coded.into_iter().flatten()); // never-fed blocks
-                let decoded = ltdec.into_data().expect("complete");
-                if rep == 0 {
-                    assert_eq!(decoded, data);
-                }
-                pool.put_all(decoded);
             }
-            rows.push(Row {
-                kernel: kname,
-                code: "lt",
-                k,
-                encode_mbps: enc,
-                decode_mbps: dec,
-            });
+            dec = dec.max(mb / t.elapsed().as_secs_f64());
+            assert!(ltdec.is_complete());
+            pool.put_all(ltdec.drain_spares());
+            pool.put_all(coded.into_iter().flatten()); // never-fed blocks
+            let decoded = ltdec.into_data().expect("complete");
+            if rep == 0 {
+                assert_eq!(decoded, data);
+            }
+            pool.put_all(decoded);
         }
+        rows.push(Row {
+            kernel: dispatched.name(),
+            code: "lt",
+            k,
+            encode_mbps: enc,
+            decode_mbps: dec,
+        });
     }
-    set_kernel(Kernel::Vector); // restore the process-wide default
 
     // CRC32C: every coded block is digested once on write and once per
     // read. Tiers interleave within each size, like the coding kernels.
-    let crc_budget: usize = if quick { 8 << 20 } else { 64 << 20 };
     for len in [4usize << 10, 16 << 10, 1 << 20] {
         let data: Vec<u8> = (0..len).map(|j| ((j * 29 + 11) % 256) as u8).collect();
         let want = crc32c_on(Tier::Table, &data);
         for tier in Tier::ALL.into_iter().filter(|t| t.available()) {
             // The byte table is ~50x slower than the hardware tier; give
             // it a smaller budget so the run stays short.
-            let budget = if tier == Tier::Table {
-                crc_budget / 16
+            let tier_budget = if tier == Tier::Table {
+                budget / 16
             } else {
-                crc_budget
+                budget
             };
-            let iters = (budget / len).max(1);
-            let mut rate = 0f64;
-            for _ in 0..reps {
-                let t = Instant::now();
+            let iters = (tier_budget / len).max(1);
+            let rate = best((iters * len) as f64 / 1e6, &mut || {
                 for _ in 0..iters {
                     assert_eq!(crc32c_on(tier, black_box(&data)), want);
                 }
-                rate = rate.max((iters * len) as f64 / 1e6 / t.elapsed().as_secs_f64());
-            }
+            });
             rows.push(Row {
                 kernel: tier.name(),
                 code: "crc32c",
@@ -261,7 +352,8 @@ pub fn bench_coding(trials: u64) -> String {
 
     let mut table = Table::new(
         format!(
-            "Kernel benchmark: scalar / vector / simd coding kernels and CRC32C tiers ({}, {} MB RS / {} KB LT blocks)",
+            "Kernel benchmark: coding kernels per op, whole codes on the dispatched {} kernel, CRC32C tiers ({}, {} MB RS / {} KB LT blocks)",
+            dispatched.name(),
             host,
             rs_bytes >> 20,
             lt_block >> 10
@@ -278,51 +370,41 @@ pub fn bench_coding(trials: u64) -> String {
         ]);
     }
     let mut out = table.render();
-    let ratio = |code: &str, k: usize| -> f64 {
-        let get = |kern: &str| {
-            rows.iter()
-                .find(|r| r.code == code && r.k == k && r.kernel == kern)
-                .map_or(f64::NAN, |r| r.decode_mbps)
-        };
-        get("vector") / get("scalar")
+    let get = |code: &str, k: usize, kern: &str| {
+        rows.iter()
+            .find(|r| r.code == code && r.k == k && r.kernel == kern)
+            .map_or((f64::NAN, f64::NAN), |r| (r.encode_mbps, r.decode_mbps))
     };
-    out.push_str("\nDecode speedup, vector over scalar (same host, same inputs):\n");
-    for k in [4usize, 8, 16, 32] {
-        out.push_str(&format!("  RS K={k}: {:.1}x\n", ratio("rs", k)));
-    }
-    for k in [128usize, 256, 512, 1024] {
-        out.push_str(&format!("  LT K={k}: {:.1}x\n", ratio("lt", k)));
+    out.push_str(
+        "\nSpeedup over the scalar reference (same host, same inputs), encode / decode:\n",
+    );
+    for kern in kernels.iter().filter(|&&k| k != Kernel::Scalar) {
+        let name = kern.name();
+        let rs = |k: usize| {
+            let ((se, sd), (e, d)) = (get("rs-row", k, "scalar"), get("rs-row", k, name));
+            format!("{:.1}x / {:.1}x", e / se, d / sd)
+        };
+        let xor = |len: usize| get("xor", len, name).0 / get("xor", len, "scalar").0;
+        out.push_str(&format!(
+            "  {name}: RS row K=4 {}, K=32 {}; XOR 16 KiB {:.1}x, 64 KiB {:.1}x, 1 MiB {:.1}x\n",
+            rs(4),
+            rs(32),
+            xor(16 << 10),
+            xor(64 << 10),
+            xor(1 << 20),
+        ));
     }
     out.push_str(&format!(
-        "Targets: >=3x RS decode at K=32 (got {:.1}x), >=1.5x LT decode at K=1024 (got {:.1}x).\n",
-        ratio("rs", 32),
-        ratio("lt", 1024),
+        "Targets (vector over scalar): >=3x RS row decode at K=32 (got {:.1}x), \
+         >=1.5x XOR at 64 KiB (got {:.1}x).\n",
+        get("rs-row", 32, "vector").1 / get("rs-row", 32, "scalar").1,
+        get("xor", 64 << 10, "vector").0 / get("xor", 64 << 10, "scalar").0,
     ));
-    if simd_available() {
-        let simd_ratio = |code: &str, k: usize, which: fn(&Row) -> f64| -> f64 {
-            let get = |kern: &str| {
-                rows.iter()
-                    .find(|r| r.code == code && r.k == k && r.kernel == kern)
-                    .map_or(f64::NAN, which)
-            };
-            get("simd") / get("vector")
-        };
-        out.push_str("Simd speedup over the table (vector) kernels, encode/decode:\n");
-        out.push_str(&format!(
-            "  RS K=32: {:.1}x / {:.1}x   LT K=1024: {:.1}x / {:.1}x\n",
-            simd_ratio("rs", 32, |r| r.encode_mbps),
-            simd_ratio("rs", 32, |r| r.decode_mbps),
-            simd_ratio("lt", 1024, |r| r.encode_mbps),
-            simd_ratio("lt", 1024, |r| r.decode_mbps),
-        ));
-    } else {
-        out.push_str("Simd kernels unavailable (feature off or CPU unsupported): no simd rows.\n");
-    }
-    let crc = |k: usize, kern: &str| {
-        rows.iter()
-            .find(|r| r.code == "crc32c" && r.k == k && r.kernel == kern)
-            .map_or(f64::NAN, |r| r.encode_mbps)
-    };
+    out.push_str(&format!(
+        "The coding entry points dispatch to the {} kernel here; the rs and lt rows ran on it.\n",
+        dispatched.name()
+    ));
+    let crc = |k: usize, kern: &str| get("crc32c", k, kern).0;
     let picked = crc_tier().name();
     out.push_str(&format!(
         "CRC32C dispatches to the {picked} tier here: {:.0} MB/s at 16 KiB, \

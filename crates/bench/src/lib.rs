@@ -141,7 +141,7 @@ pub fn registry() -> Vec<Experiment> {
         },
         Experiment {
             id: "bench-coding",
-            covers: "Kernel benchmark: scalar vs vector vs simd coding kernels (writes BENCH_coding.json)",
+            covers: "Kernel benchmark: every coding kernel the CPU runs (rs-row/xor per kernel, rs/lt at the dispatched kernel) + CRC32C tiers (writes BENCH_coding.json)",
             run: coding::bench_coding,
         },
         Experiment {

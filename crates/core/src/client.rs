@@ -1281,12 +1281,6 @@ impl Client {
             }
         }
 
-        fn recycle(pool: &mut BlockPool, mut buf: Vec<u8>, block_len: usize) {
-            buf.clear();
-            buf.resize(block_len, 0);
-            pool.put(buf);
-        }
-
         /// Handle the completion for `tag` (already the next in order).
         fn process(
             st: &mut ReadState<'_>,
@@ -1301,8 +1295,8 @@ impl Client {
                 // for ops the cancel couldn't revoke (or parked behind the
                 // resolution point) just hand their buffers back.
                 match kind {
-                    CompletionKind::Read { buf, .. } => recycle(pool, buf, block_len),
-                    CompletionKind::Cancelled { buf: Some(buf) } => recycle(pool, buf, block_len),
+                    CompletionKind::Read { buf, .. } => pool.recycle(buf),
+                    CompletionKind::Cancelled { buf: Some(buf) } => pool.recycle(buf),
                     CompletionKind::Cancelled { buf: None } => {}
                     other => unreachable!("read access got {other:?}"),
                 }
@@ -1350,7 +1344,7 @@ impl Client {
                                 }
                             } else {
                                 st.bad.insert(coded);
-                                recycle(pool, buf, block_len);
+                                pool.recycle(buf);
                             }
                         }
                         // The ring spent the retry budget (transient) or
@@ -1360,10 +1354,10 @@ impl Client {
                         | Err(StoreError::MissingBlock { .. }) => {
                             st.missing += 1;
                             st.bad.insert(coded);
-                            recycle(pool, buf, block_len);
+                            pool.recycle(buf);
                         }
                         Err(e) => {
-                            recycle(pool, buf, block_len);
+                            pool.recycle(buf);
                             st.fatal = Some(e);
                             ring.cancel(st.access);
                         }
@@ -1374,7 +1368,7 @@ impl Client {
                     // below the resolution point always carries a real
                     // completion; recycle defensively all the same.
                     if let Some(buf) = buf {
-                        recycle(pool, buf, block_len);
+                        pool.recycle(buf);
                     }
                 }
                 other => unreachable!("read access got {other:?}"),
@@ -1508,15 +1502,8 @@ impl Client {
                         pool.put_all(decoder.drain_all());
                         Err(e)
                     } else {
-                        let complete = decoder.is_complete() || decoder.solve();
-                        pool.put_all(decoder.drain_spares());
-                        if !complete {
-                            pool.put_all(decoder.drain_all());
-                            Err(StoreError::Coding(
-                                robustore_erasure::CodingError::DecodeFailed,
-                            ))
-                        } else {
-                            let blocks = decoder.into_data().expect("complete decoder yields data");
+                        let decoded = decoder.finish(pool).map_err(StoreError::Coding);
+                        decoded.map(|blocks| {
                             let repaired = if self.system.inner.config.read_repair
                                 && !bad.is_empty()
                             {
@@ -1531,7 +1518,7 @@ impl Client {
                                 pool.put(b);
                             }
                             out.truncate(meta.size_bytes as usize);
-                            Ok((
+                            (
                                 out,
                                 ReadReport {
                                     blocks_fetched: fetched,
@@ -1545,8 +1532,8 @@ impl Client {
                                     blocks_deferred: order.len() - submitted,
                                     waves: waves.max(1),
                                 },
-                            ))
-                        }
+                            )
+                        })
                     };
                     sink(i, r);
                 }
@@ -2029,11 +2016,6 @@ impl Client {
                         Some(buf)
                     }
                 };
-            let recycle = |pool: &mut BlockPool, mut buf: Vec<u8>| {
-                buf.clear();
-                buf.resize(block_len, 0);
-                pool.put(buf);
-            };
             // A scrub visits *every* stored block (no cancellation), but
             // the requests stream through the per-disk queues with a
             // bounded window so all the file's disks service it in
@@ -2081,22 +2063,14 @@ impl Client {
                         unreachable!("scrub submits only reads");
                     };
                     if let Some(buf) = ingest(disk, id, result.is_ok(), buf) {
-                        recycle(pool, buf);
+                        pool.recycle(buf);
                     }
                 }
             }
         }
         // Same completion ladder as the read path: peel, then the GE
         // fallback; only genuine rank deficiency fails the scrub.
-        let complete = decoder.is_complete() || decoder.solve();
-        pool.put_all(decoder.drain_spares());
-        if !complete {
-            pool.put_all(decoder.drain_all());
-            return Err(StoreError::Coding(
-                robustore_erasure::CodingError::DecodeFailed,
-            ));
-        }
-        let blocks = decoder.into_data().expect("complete decoder yields data");
+        let blocks = decoder.finish(pool).map_err(StoreError::Coding)?;
         // Audit the optimistically-accepted legacy blocks now that the
         // decoded data is in hand: their bytes must equal the re-encode.
         for (&id, &crc_read) in &legacy {

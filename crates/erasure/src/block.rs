@@ -5,9 +5,8 @@
 //! segment). All LT coding work reduces to XOR over blocks, so the XOR
 //! kernel is the throughput-critical path the paper optimises (§5.2.3
 //! item 4: long operands, register- and cache-conscious loops). The actual
-//! loops live in [`crate::kernels`], which provides both a wide vectorized
-//! implementation and a byte-at-a-time scalar reference, selectable at
-//! runtime with byte-identical results.
+//! loops live in [`crate::kernels`], which runs the fastest byte-identical
+//! kernel this CPU supports.
 
 pub use crate::kernels::xor_into;
 

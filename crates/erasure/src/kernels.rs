@@ -7,49 +7,54 @@
 //! The paper makes coding bandwidth a first-class constraint (§5.2.3
 //! item 4: "long operands, register- and cache-conscious loops"; Table 5-1
 //! rules RS out for long code words because its per-byte field math halves
-//! bandwidth with every K doubling). Two implementations exist for each
-//! kernel:
+//! bandwidth with every K doubling). Each of the four operations
+//! ([`xor_into`], [`gf_axpy`], [`gf_axpy_multi`], [`gf_scale`]) has one
+//! implementation per [`Kernel`]:
 //!
 //! * **Scalar reference** — the textbook byte-at-a-time loops (log/exp
 //!   table lookups for GF, single-byte XOR). These pin the semantics: the
-//!   vectorized kernels must be *byte-identical* to them for every input,
-//!   a guarantee enforced by differential property tests. They double as
+//!   other kernels must be *byte-identical* to them for every input, a
+//!   guarantee enforced by differential property tests. They double as
 //!   the ablation baseline mirroring the paper's pre-optimisation loops —
 //!   [`std::hint::black_box`] keeps the XOR reference genuinely
 //!   byte-at-a-time so the compiler cannot quietly vectorize the baseline
-//!   and erase the very effect §5.2.3 measures.
-//! * **Vectorized** — wide loops over 32-byte chunks (4 × `u64` lanes)
-//!   that LLVM lowers to SIMD. The GF multiply is table-driven in the
-//!   ISA-L style: per coefficient, two 16-entry split-nibble tables
-//!   ([`NibbleTables`], `c·b = lo[b & 15] ^ hi[b >> 4]`) are expanded
-//!   once into a 256-entry product table that stays L1-resident for the
-//!   whole block, so the inner loop is one branch-free lookup per byte
-//!   with the XOR into the destination done on full `u64` lanes. That
-//!   keeps per-byte work to a single independent load (the lookups of a
-//!   chunk pipeline in parallel), versus the scalar reference's
-//!   zero-check branch plus *two dependent* log/exp lookups per byte.
+//!   and erase the very effect §5.2.3 measures. Never dispatched.
+//! * **Vector** — portable safe-Rust wide loops over 32-byte chunks
+//!   (4 × `u64` lanes) that LLVM lowers to whatever SIMD the target
+//!   baseline has. The GF multiply is table-driven in the ISA-L style: per
+//!   coefficient, two 16-entry split-nibble tables ([`NibbleTables`],
+//!   `c·b = lo[b & 15] ^ hi[b >> 4]`) are expanded once into a 256-entry
+//!   product table that stays L1-resident for the whole block, so the
+//!   inner loop is one branch-free lookup per byte; long blocks switch to
+//!   a byte-*pair* table and multi-source rows fuse four sources per
+//!   pass. The fallback on CPUs without AVX2.
+//! * **AVX2** — the split-nibble multiply on x86_64 shuffle hardware
+//!   (`crate::simd`): two 32-lane `VPSHUFB` table lookups per vector
+//!   instead of one load per byte.
+//!
+//! The entry points run [`kernel()`], probed from the CPU once per
+//! process: AVX2 on x86_64 hosts that have it, Vector otherwise. There
+//! is no switch to flip — because the kernels agree byte-for-byte, the
+//! choice can never change what any code computes, only how fast. Tests and benchmarks pin a kernel through the `*_on`
+//! twins ([`xor_into_on`], …), which assert [`Kernel::available`].
 //!
 //! Alignment note: the wide loops read/write through
 //! `u64::from_ne_bytes`/`to_ne_bytes` on exact 32-byte chunks, which LLVM
-//! merges into full-width vector loads. On x86-64 and aarch64 the
-//! unaligned forms run at aligned speed when the data is aligned (and
-//! `Vec<u8>` allocations are), so a separately-dispatched aligned path
-//! would only duplicate code without a measurable win — and would need
-//! `unsafe` reinterpretation this crate otherwise avoids.
-//!
-//! Which implementation runs is a process-wide runtime choice
-//! ([`set_kernel`]) so benchmarks can measure both in one run; because the
-//! kernels agree byte-for-byte, the selection can never change what any
-//! experiment computes — only how fast.
+//! merges into full-width vector loads, and the AVX2 kernel uses
+//! unaligned loads and stores. On x86-64 and aarch64 the unaligned forms
+//! run at aligned speed when the data is aligned (and `Vec<u8>`
+//! allocations are), so a separately-dispatched aligned path would only
+//! duplicate code without a measurable win.
 //!
 //! [`BlockPool`] rounds out the memory-discipline side: a free-list of
 //! equal-sized blocks with allocation counters, so per-trial segment
 //! buffers are recycled across a request loop instead of reallocated, and
 //! tests can assert that a decode path performed no hidden copies.
 
-use std::sync::atomic::{AtomicI64, AtomicU64, AtomicU8, Ordering};
+use std::sync::atomic::{AtomicI64, AtomicU64, Ordering};
+use std::sync::OnceLock;
 
-use crate::Block;
+use crate::{simd, Block};
 
 /// GF(2⁸) arithmetic with the AES polynomial x⁸+x⁴+x³+x+1 (0x11B).
 pub mod gf {
@@ -113,61 +118,66 @@ pub mod gf {
     }
 }
 
-/// Which kernel implementation the dispatching entry points run.
+/// A coding-kernel implementation. All kernels are byte-identical.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Kernel {
-    /// Byte-at-a-time reference loops (differential-test oracle and
-    /// ablation baseline).
+    /// Byte-at-a-time loops: the differential-test reference and ablation
+    /// baseline. Never dispatched.
     Scalar,
-    /// Wide 32-byte-chunk loops (the default).
+    /// Portable wide loops over `u64` lanes with expanded product tables.
     Vector,
-    /// Hardware-shuffle split-nibble kernels (`simd` feature): SSSE3/AVX2
-    /// `PSHUFB` on x86_64, NEON `TBL` on aarch64. Selectable only when the
-    /// feature is compiled in *and* the CPU probe succeeds; otherwise
-    /// [`set_kernel`] falls back to [`Kernel::Vector`]. Byte-identical to
-    /// the other tiers either way.
-    Simd,
+    /// x86_64 AVX2: 32-lane `VPSHUFB` split-nibble lookups.
+    Avx2,
 }
 
-/// 0 = Vector (default), 1 = Scalar, 2 = Simd.
-static ACTIVE_KERNEL: AtomicU8 = AtomicU8::new(0);
+impl Kernel {
+    /// Every kernel, slowest first.
+    pub const ALL: [Kernel; 3] = [Kernel::Scalar, Kernel::Vector, Kernel::Avx2];
 
-/// Whether the hardware-shuffle kernels can run on this build + host.
-/// `false` when the crate is built without the `simd` feature or the CPU
-/// probe finds no usable instruction set.
-pub fn simd_available() -> bool {
-    #[cfg(feature = "simd")]
-    {
-        crate::simd::available()
+    /// Short stable name (bench rows, test messages).
+    pub fn name(self) -> &'static str {
+        match self {
+            Kernel::Scalar => "scalar",
+            Kernel::Vector => "vector",
+            Kernel::Avx2 => "avx2",
+        }
     }
-    #[cfg(not(feature = "simd"))]
-    {
-        false
+
+    /// True when this CPU can run the kernel.
+    pub fn available(self) -> bool {
+        match self {
+            Kernel::Scalar | Kernel::Vector => true,
+            #[cfg(target_arch = "x86_64")]
+            Kernel::Avx2 => std::arch::is_x86_feature_detected!("avx2"),
+            #[cfg(not(target_arch = "x86_64"))]
+            Kernel::Avx2 => false,
+        }
     }
 }
 
-/// Select the kernel implementation process-wide. Results are
-/// byte-identical either way; only throughput changes. Requesting
-/// [`Kernel::Simd`] on a build or host that cannot run it selects
-/// [`Kernel::Vector`] instead (check [`simd_available`] to know which).
-pub fn set_kernel(kernel: Kernel) {
-    let v = match kernel {
-        Kernel::Vector => 0,
-        Kernel::Scalar => 1,
-        Kernel::Simd if simd_available() => 2,
-        Kernel::Simd => 0,
-    };
-    ACTIVE_KERNEL.store(v, Ordering::Relaxed);
+/// The kernel the entry points dispatch to on this CPU, probed once:
+/// [`Kernel::Avx2`] when the CPU has it, else [`Kernel::Vector`].
+pub fn kernel() -> Kernel {
+    static KERNEL: OnceLock<Kernel> = OnceLock::new();
+    *KERNEL.get_or_init(|| {
+        if Kernel::Avx2.available() {
+            Kernel::Avx2
+        } else {
+            Kernel::Vector
+        }
+    })
 }
 
-/// The currently selected kernel implementation.
+/// Panic unless this CPU can run `kernel` — the safety gate in front of
+/// every AVX2 call.
 #[inline]
-pub fn active_kernel() -> Kernel {
-    match ACTIVE_KERNEL.load(Ordering::Relaxed) {
-        0 => Kernel::Vector,
-        2 => Kernel::Simd,
-        _ => Kernel::Scalar,
-    }
+fn check(kernel: Kernel) -> Kernel {
+    assert!(
+        kernel.available(),
+        "{} kernel unsupported on this CPU",
+        kernel.name()
+    );
+    kernel
 }
 
 /// Per-coefficient split-nibble multiply tables (ISA-L layout): for a
@@ -253,26 +263,34 @@ fn mul8(w: u64, full: &[u8; 256]) -> u64 {
 // XOR kernels
 // ---------------------------------------------------------------------------
 
-/// XOR `src` into `dst` element-wise, using the selected kernel.
+/// XOR `src` into `dst` element-wise, on the dispatched [`kernel()`].
 ///
 /// # Panics
 /// Panics if the slices differ in length — codes operate on equal-sized
 /// blocks only, and a mismatch indicates corruption upstream.
 #[inline]
 pub fn xor_into(dst: &mut [u8], src: &[u8]) {
-    match active_kernel() {
-        Kernel::Vector => xor_into_wide(dst, src),
+    xor_into_on(kernel(), dst, src)
+}
+
+/// [`xor_into`] on a specific kernel.
+///
+/// # Panics
+/// Panics if the slices differ in length or this CPU cannot run `kernel`.
+pub fn xor_into_on(kernel: Kernel, dst: &mut [u8], src: &[u8]) {
+    assert_eq!(dst.len(), src.len(), "xor of blocks with unequal lengths");
+    match check(kernel) {
         Kernel::Scalar => xor_into_scalar(dst, src),
-        #[cfg(feature = "simd")]
-        Kernel::Simd => crate::simd::xor_into_simd(dst, src),
-        #[cfg(not(feature = "simd"))]
-        Kernel::Simd => xor_into_wide(dst, src),
+        Kernel::Vector => xor_into_wide(dst, src),
+        // SAFETY: `check` confirmed the CPU runs AVX2, and the lengths
+        // match.
+        Kernel::Avx2 => unsafe { simd::xor_into(dst, src) },
     }
 }
 
 /// Byte-at-a-time XOR reference. `black_box` pins the loop to genuinely
 /// scalar execution (see module docs); use only as an oracle/baseline.
-pub fn xor_into_scalar(dst: &mut [u8], src: &[u8]) {
+fn xor_into_scalar(dst: &mut [u8], src: &[u8]) {
     assert_eq!(dst.len(), src.len(), "xor of blocks with unequal lengths");
     for (d, &s) in dst.iter_mut().zip(src) {
         *d = std::hint::black_box(*d ^ s);
@@ -280,7 +298,7 @@ pub fn xor_into_scalar(dst: &mut [u8], src: &[u8]) {
 }
 
 /// Wide XOR: 32-byte chunks (4 × u64), then an 8-byte loop, then bytes.
-pub fn xor_into_wide(dst: &mut [u8], src: &[u8]) {
+fn xor_into_wide(dst: &mut [u8], src: &[u8]) {
     assert_eq!(dst.len(), src.len(), "xor of blocks with unequal lengths");
     let mut d = dst.chunks_exact_mut(32);
     let mut s = src.chunks_exact(32);
@@ -307,26 +325,34 @@ pub fn xor_into_wide(dst: &mut [u8], src: &[u8]) {
 // GF(256) multiply-accumulate / scale kernels
 // ---------------------------------------------------------------------------
 
-/// `acc ^= coef · src` over GF(2⁸), element-wise, using the selected
-/// kernel.
+/// `acc ^= coef · src` over GF(2⁸), element-wise, on the dispatched
+/// [`kernel()`].
 ///
 /// # Panics
 /// Panics if the slices differ in length.
 #[inline]
 pub fn gf_axpy(acc: &mut [u8], coef: u8, src: &[u8]) {
-    match active_kernel() {
-        Kernel::Vector => gf_axpy_vector(acc, coef, src),
+    gf_axpy_on(kernel(), acc, coef, src)
+}
+
+/// [`gf_axpy`] on a specific kernel.
+///
+/// # Panics
+/// Panics if the slices differ in length or this CPU cannot run `kernel`.
+pub fn gf_axpy_on(kernel: Kernel, acc: &mut [u8], coef: u8, src: &[u8]) {
+    assert_eq!(acc.len(), src.len(), "axpy over blocks of unequal lengths");
+    match check(kernel) {
         Kernel::Scalar => gf_axpy_scalar(acc, coef, src),
-        #[cfg(feature = "simd")]
-        Kernel::Simd => crate::simd::gf_axpy_simd(acc, coef, src),
-        #[cfg(not(feature = "simd"))]
-        Kernel::Simd => gf_axpy_vector(acc, coef, src),
+        Kernel::Vector => gf_axpy_vector(acc, coef, src),
+        // SAFETY: `check` confirmed the CPU runs AVX2, and the lengths
+        // match.
+        Kernel::Avx2 => unsafe { simd::gf_axpy(acc, coef, src) },
     }
 }
 
 /// Scalar reference multiply-accumulate: a branch plus two dependent
 /// table lookups per byte (the loop Table 5-1's RS numbers come from).
-pub fn gf_axpy_scalar(acc: &mut [u8], coef: u8, src: &[u8]) {
+fn gf_axpy_scalar(acc: &mut [u8], coef: u8, src: &[u8]) {
     assert_eq!(acc.len(), src.len(), "axpy over blocks of unequal lengths");
     if coef == 0 {
         return;
@@ -346,7 +372,7 @@ pub fn gf_axpy_scalar(acc: &mut [u8], coef: u8, src: &[u8]) {
 
 /// Vectorized multiply-accumulate: expanded split-nibble table over
 /// 32-byte chunks, per-byte table lookups on the tail.
-pub fn gf_axpy_vector(acc: &mut [u8], coef: u8, src: &[u8]) {
+fn gf_axpy_vector(acc: &mut [u8], coef: u8, src: &[u8]) {
     assert_eq!(acc.len(), src.len(), "axpy over blocks of unequal lengths");
     if coef == 0 {
         return;
@@ -473,52 +499,56 @@ fn gf_axpy_pair_table(acc: &mut [u8], coef: u8, src: &[u8]) {
 }
 
 /// Fused multiply-accumulate of several sources into one destination:
-/// `acc ^= Σᵢ coefᵢ · srcᵢ`, element-wise over GF(2⁸), using the selected
-/// kernel. XOR accumulation is exact and order-free, so the result is
-/// byte-identical to applying [`gf_axpy`] once per source — but the
-/// vector path makes a *single* pass over `acc`, folding every source's
-/// contribution into the destination group while it sits in a register.
-/// For a K×K Reed–Solomon decode that cuts destination memory traffic by
-/// a factor of K, which is where the per-source loop saturates.
+/// `acc ^= Σᵢ coefᵢ · srcᵢ`, element-wise over GF(2⁸), on the dispatched
+/// [`kernel()`]. XOR accumulation is exact and order-free, so the result
+/// is byte-identical to applying [`gf_axpy`] once per source — but the
+/// fast kernels fold several sources into each destination group while
+/// it sits in a register. For a K×K Reed–Solomon decode that cuts
+/// destination memory traffic, which is where the per-source loop
+/// saturates.
 ///
 /// # Panics
 /// Panics if any source's length differs from `acc`'s.
 pub fn gf_axpy_multi(acc: &mut [u8], srcs: &[(u8, &[u8])]) {
-    match active_kernel() {
-        Kernel::Vector => gf_axpy_multi_vector(acc, srcs),
-        Kernel::Scalar => gf_axpy_multi_scalar(acc, srcs),
-        #[cfg(feature = "simd")]
-        Kernel::Simd => crate::simd::gf_axpy_multi_simd(acc, srcs),
-        #[cfg(not(feature = "simd"))]
-        Kernel::Simd => gf_axpy_multi_vector(acc, srcs),
-    }
+    gf_axpy_multi_on(kernel(), acc, srcs)
 }
 
-/// Scalar reference for the fused multiply-accumulate: the sources
-/// applied one at a time with the byte-at-a-time loop — exactly the
-/// structure the pre-kernel decoder had.
-pub fn gf_axpy_multi_scalar(acc: &mut [u8], srcs: &[(u8, &[u8])]) {
-    for &(coef, src) in srcs {
-        gf_axpy_scalar(acc, coef, src);
-    }
-}
-
-/// Vectorized fused multiply-accumulate: sources are folded in four at a
-/// time by [`gf_axpy_quad`] (a fixed-arity loop the compiler can strip of
-/// bounds checks, with four independent lookup chains in flight), so the
-/// destination is traversed once per four sources instead of once per
-/// source.
-pub fn gf_axpy_multi_vector(acc: &mut [u8], srcs: &[(u8, &[u8])]) {
+/// [`gf_axpy_multi`] on a specific kernel.
+///
+/// # Panics
+/// Panics if any source's length differs from `acc`'s or this CPU cannot
+/// run `kernel`.
+pub fn gf_axpy_multi_on(kernel: Kernel, acc: &mut [u8], srcs: &[(u8, &[u8])]) {
     for &(_, src) in srcs {
         assert_eq!(acc.len(), src.len(), "axpy over blocks of unequal lengths");
     }
     // Zero coefficients contribute nothing; drop them before building
     // tables so the hot loops only visit live sources.
     let live: Vec<(u8, &[u8])> = srcs.iter().filter(|&&(c, _)| c != 0).copied().collect();
+    match check(kernel) {
+        // The pre-kernel decoder's structure: one source at a time.
+        Kernel::Scalar => {
+            for &(coef, src) in &live {
+                gf_axpy_scalar(acc, coef, src);
+            }
+        }
+        Kernel::Vector => gf_axpy_multi_vector(acc, &live),
+        // SAFETY: `check` confirmed the CPU runs AVX2, and every source
+        // matches `acc`'s length.
+        Kernel::Avx2 => unsafe { simd::gf_axpy_multi(acc, &live) },
+    }
+}
+
+/// Vectorized fused multiply-accumulate over nonzero coefficients:
+/// sources are folded in four at a time by [`gf_axpy_quad`] (a
+/// fixed-arity loop the compiler can strip of bounds checks, with four
+/// independent lookup chains in flight), so the destination is traversed
+/// once per four sources instead of once per source.
+fn gf_axpy_multi_vector(acc: &mut [u8], live: &[(u8, &[u8])]) {
     if acc.len() >= PAIR_TABLE_MIN_LEN {
         // Long blocks: the byte-pair-table path is load-port-limited and
         // gains nothing from fusion — run it per source.
-        for &(coef, src) in &live {
+        for &(coef, src) in live {
             gf_axpy_vector(acc, coef, src);
         }
         return;
@@ -569,22 +599,28 @@ fn gf_axpy_quad(acc: &mut [u8], tables: &[[u8; 256]; 4], srcs: [&[u8]; 4]) {
     }
 }
 
-/// In-place multiply of every byte of `block` by field scalar `x`, using
-/// the selected kernel.
+/// In-place multiply of every byte of `block` by field scalar `x`, on
+/// the dispatched [`kernel()`].
 #[inline]
 pub fn gf_scale(block: &mut [u8], x: u8) {
-    match active_kernel() {
-        Kernel::Vector => gf_scale_vector(block, x),
+    gf_scale_on(kernel(), block, x)
+}
+
+/// [`gf_scale`] on a specific kernel.
+///
+/// # Panics
+/// Panics if this CPU cannot run `kernel`.
+pub fn gf_scale_on(kernel: Kernel, block: &mut [u8], x: u8) {
+    match check(kernel) {
         Kernel::Scalar => gf_scale_scalar(block, x),
-        #[cfg(feature = "simd")]
-        Kernel::Simd => crate::simd::gf_scale_simd(block, x),
-        #[cfg(not(feature = "simd"))]
-        Kernel::Simd => gf_scale_vector(block, x),
+        Kernel::Vector => gf_scale_vector(block, x),
+        // SAFETY: `check` confirmed the CPU runs AVX2.
+        Kernel::Avx2 => unsafe { simd::gf_scale(block, x) },
     }
 }
 
 /// Scalar reference in-place scale.
-pub fn gf_scale_scalar(block: &mut [u8], x: u8) {
+fn gf_scale_scalar(block: &mut [u8], x: u8) {
     if x == 1 {
         return;
     }
@@ -603,7 +639,7 @@ pub fn gf_scale_scalar(block: &mut [u8], x: u8) {
 
 /// Vectorized in-place scale: expanded split-nibble table over 32-byte
 /// chunks, per-byte table lookups on the tail.
-pub fn gf_scale_vector(block: &mut [u8], x: u8) {
+fn gf_scale_vector(block: &mut [u8], x: u8) {
     if x == 1 {
         return;
     }
@@ -705,6 +741,15 @@ impl BlockPool {
         assert_eq!(block.len(), self.block_len, "pooled block length mismatch");
         self.outstanding.fetch_sub(1, Ordering::Relaxed);
         self.free.push(block);
+    }
+
+    /// Return a buffer whose length may have changed (e.g. one a backend
+    /// read into) to the free list, cleared and resized to the pool's
+    /// block length.
+    pub fn recycle(&mut self, mut buf: Block) {
+        buf.clear();
+        buf.resize(self.block_len, 0);
+        self.put(buf);
     }
 
     /// Return every block of an iterator to the free list.
@@ -818,29 +863,6 @@ mod tests {
     }
 
     #[test]
-    fn kernel_selection_round_trips() {
-        assert_eq!(active_kernel(), Kernel::Vector);
-        set_kernel(Kernel::Scalar);
-        assert_eq!(active_kernel(), Kernel::Scalar);
-        set_kernel(Kernel::Vector);
-        assert_eq!(active_kernel(), Kernel::Vector);
-    }
-
-    #[test]
-    fn simd_selection_respects_availability() {
-        // Requesting Simd either activates it (feature + CPU support) or
-        // falls back to Vector — never anything else, and never a panic.
-        set_kernel(Kernel::Simd);
-        let got = active_kernel();
-        if simd_available() {
-            assert_eq!(got, Kernel::Simd);
-        } else {
-            assert_eq!(got, Kernel::Vector);
-        }
-        set_kernel(Kernel::Vector);
-    }
-
-    #[test]
     fn axpy_vector_handles_tails_and_special_coefficients() {
         for len in [0usize, 1, 7, 8, 31, 32, 33, 40, 63, 64, 100] {
             let src: Vec<u8> = (0..len).map(|i| (i * 37 + 11) as u8).collect();
@@ -900,6 +922,20 @@ mod tests {
         assert_eq!(pool.available(), 4);
         // Adopting foreign buffers counts as returns without checkouts.
         assert_eq!(pool.outstanding_blocks(), -2);
+    }
+
+    #[test]
+    fn pool_recycle_restores_block_length() {
+        let mut pool = BlockPool::new(16);
+        let mut short = pool.get_scratch();
+        short.truncate(3); // a backend shrank it
+        pool.recycle(short);
+        pool.recycle(vec![7u8; 40]); // a foreign, oversized buffer
+        assert_eq!(pool.available(), 2);
+        assert_eq!(pool.outstanding_blocks(), -1);
+        for _ in 0..2 {
+            assert_eq!(pool.get(), vec![0u8; 16]);
+        }
     }
 
     #[test]

@@ -27,14 +27,12 @@
 //! * [`analysis`] — the Appendix-A reassembly-probability analysis behind
 //!   Figure 4-1 (replication vs erasure-coded redundancy).
 //! * [`block`] — the shared block representation and XOR helpers.
-//! * [`kernels`] — the hot-loop substrate every code runs on: vectorized
-//!   GF(256) multiply-accumulate and wide XOR with scalar reference
-//!   kernels (byte-identical, runtime-selectable), plus [`BlockPool`]
-//!   buffer recycling.
-//! * `simd` (feature-gated) — the same split-nibble GF(256) kernels on
-//!   real shuffle hardware: SSSE3/AVX2 `PSHUFB` on x86_64, NEON `TBL` on
-//!   aarch64, with runtime CPU probing and automatic fallback to the
-//!   table kernels ([`simd_available`], `set_kernel(Kernel::Simd)`).
+//! * [`kernels`] — the hot-loop substrate every code runs on: GF(256)
+//!   multiply-accumulate and wide XOR on one [`Kernel`] picked from the
+//!   CPU at first use (AVX2 on x86_64 hosts that have it, portable wide
+//!   loops otherwise; the byte-at-a-time scalar reference is test-only),
+//!   all byte-identical, plus [`BlockPool`] buffer recycling. The AVX2
+//!   kernel lives in a private `simd` module compiled on x86_64 only.
 //!
 //! Terminology follows §2.2.1: a *data segment* of K *blocks* is encoded
 //! into N *coded blocks*; `D = N/K − 1` is the degree of data redundancy and
@@ -75,13 +73,12 @@ pub mod parity;
 pub mod raptor;
 pub mod replication;
 pub mod rs;
-#[cfg(feature = "simd")]
-pub mod simd;
+mod simd;
 pub mod soliton;
 pub mod tornado;
 
 pub use block::{xor_into, Block};
-pub use kernels::{set_kernel, simd_available, BlockPool, Kernel};
+pub use kernels::{kernel, BlockPool, Kernel};
 pub use lt::{LtCode, LtDecoder, LtParams, SymbolDecoder};
 pub use raptor::RaptorCode;
 pub use rs::ReedSolomon;

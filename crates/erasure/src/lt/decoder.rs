@@ -24,7 +24,7 @@
 //! got unlucky".
 
 use super::LtCode;
-use crate::{xor_into, Block};
+use crate::{xor_into, Block, BlockPool, CodingError};
 
 /// Incremental decoder holding block data.
 pub struct LtDecoder<'a> {
@@ -309,6 +309,29 @@ impl<'a> LtDecoder<'a> {
         out
     }
 
+    /// Finish the decode once every available block has been fed: the
+    /// peel's result if it completed, else the [`LtDecoder::solve`]
+    /// fallback. Buffers the data does not need go back to `pool` — the
+    /// spares on success, every buffer on failure — and the K originals
+    /// come back in order. The decoder is spent afterwards.
+    ///
+    /// # Errors
+    /// [`CodingError::DecodeFailed`] when the received blocks do not span
+    /// the K originals over GF(2).
+    pub fn finish(&mut self, pool: &mut BlockPool) -> Result<Vec<Block>, CodingError> {
+        let complete = self.is_complete() || self.solve();
+        pool.put_all(self.drain_spares());
+        if !complete {
+            pool.put_all(self.drain_all());
+            return Err(CodingError::DecodeFailed);
+        }
+        Ok(self
+            .decoded
+            .iter_mut()
+            .map(|b| b.take().expect("complete decode has every block"))
+            .collect())
+    }
+
     /// Extract the decoded data; `None` if decoding is incomplete.
     pub fn into_data(self) -> Option<Vec<Block>> {
         if !self.is_complete() {
@@ -336,7 +359,6 @@ fn lowest_set(bits: &[u64]) -> Option<usize> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::kernels::BlockPool;
     use crate::lt::{peel::SymbolDecoder, LtParams};
     use rand::seq::SliceRandom;
     use robustore_simkit::SeedSequence;
@@ -622,6 +644,38 @@ mod tests {
         assert!(!dec.is_complete());
         // All fed buffers are reclaimable after the failed solve.
         assert_eq!(dec.drain_all().len(), fed);
+    }
+
+    #[test]
+    fn finish_solves_a_stalled_peel_and_pools_the_spares() {
+        let (code, survivors) = stalled_case(30, 75, 25);
+        let data = make_data(30, 32);
+        let coded = code.encode(&data).unwrap();
+        let mut pool = BlockPool::new(32);
+        let mut dec = LtDecoder::new(&code, 32);
+        for &j in &survivors {
+            dec.receive(j, coded[j].clone());
+        }
+        assert_eq!(dec.finish(&mut pool).unwrap(), data);
+        // Adopted buffers count as returns: every fed buffer is either a
+        // decoded original or back in the pool.
+        assert_eq!(pool.available(), survivors.len() - data.len());
+        assert!(dec.drain_all().is_empty(), "the decoder is spent");
+    }
+
+    #[test]
+    fn finish_fails_a_rank_deficient_subset_and_pools_everything() {
+        let code = LtCode::plan(32, 128, LtParams::default(), 78).unwrap();
+        let data = make_data(32, 8);
+        let coded = code.encode(&data).unwrap();
+        let mut pool = BlockPool::new(8);
+        let mut dec = LtDecoder::new(&code, 8);
+        let fed = 10usize;
+        for (j, block) in coded.iter().enumerate().take(fed) {
+            dec.receive(j, block.clone());
+        }
+        assert_eq!(dec.finish(&mut pool), Err(CodingError::DecodeFailed));
+        assert_eq!(pool.available(), fed, "every fed buffer pooled");
     }
 
     #[test]

@@ -1,355 +1,72 @@
-//! SIMD GF(256) kernels: the split-nibble formulation on real shuffle
-//! hardware (`simd` feature).
+//! Hardware-shuffle GF(256) and XOR kernel: the split-nibble formulation
+//! on a real vector unit.
 //!
 //! The table kernels in [`crate::kernels`] index an expanded 256-entry
 //! product table one byte (or one byte *pair*) at a time — every product
 //! is a load, and the load ports are the ceiling. The split-nibble
 //! identity `c·b = T_lo[b & 15] ^ T_hi[b >> 4]` has a second reading: the
-//! two 16-entry tables fit in one vector register each, and a 16-lane
-//! byte shuffle (`PSHUFB` on x86, `TBL` on aarch64) performs *sixteen*
-//! table lookups in one instruction with no memory traffic at all. That
-//! is the ISA-L/Plank formulation, and it turns the multiply-accumulate
-//! from a load-bound loop into a handful of register-only ops per 16/32
-//! bytes.
+//! two 16-entry tables fit in one vector register each, and a byte
+//! shuffle (`VPSHUFB`) performs one table lookup per lane in a single
+//! instruction with no memory traffic at all. That is the ISA-L/Plank
+//! formulation, and it turns the multiply-accumulate from a load-bound
+//! loop into a handful of register-only ops per 32 bytes.
 //!
-//! Five implementations, chosen once at startup by CPU probing:
+//! The one implementation is x86_64 AVX2, compiled on `target_arch`
+//! alone: 32 lanes per op (`_mm256_shuffle_epi8` shuffles within each
+//! 128-bit half, which is exactly right: the same 16-entry table is
+//! broadcast to both halves), main loops unrolled to 64 bytes, and a
+//! two-source fused axpy for the multi-source decode rows. Other
+//! architectures dispatch to the portable Vector kernel.
 //!
-//! * **x86_64 GFNI** — `GF2P8MULB` multiplies 32 byte pairs directly in
-//!   GF(2⁸) over the AES polynomial 0x11B — which is exactly this
-//!   field's polynomial — so the whole split-nibble apparatus collapses
-//!   to one instruction per 32 products: no tables, no shifts, no masks.
-//! * **x86_64 AVX-512VBMI** — `VPERMB` is a *full* 64-lane byte permute
-//!   (unlike `VPSHUFB` it crosses 128-bit lanes), so the two 16-entry
-//!   nibble tables broadcast into 512-bit registers serve 64 lookups per
-//!   instruction.
-//! * **x86_64 AVX2** — 32 lanes per op (`_mm256_shuffle_epi8` shuffles
-//!   within each 128-bit half, which is exactly right: the same 16-entry
-//!   table is broadcast to both halves), main loop unrolled to 64 bytes.
-//! * **x86_64 SSSE3** — the 16-lane `_mm_shuffle_epi8` version for CPUs
-//!   without AVX2 (SSSE3 is ~2006-era and effectively universal).
-//! * **aarch64 NEON** — `vqtbl1q_u8` against the same two tables.
-//!
-//! The probe prefers GFNI over AVX-512VBMI: both exist on the same
-//! cores (Ice Lake on), and one true multiply per vector beats two
-//! permutes plus shift/mask — without the 512-bit license throttling.
-//! Every tier the host supports (not just the preferred one) stays
-//! reachable through the `*_at` entry points so the differential suite
-//! can pin each tier against the scalar reference.
-//!
-//! Every function here is byte-identical to the scalar reference (the
-//! differential suite in `tests/kernel_differential.rs` runs all of its
-//! randomized cases against this module when the feature and CPU allow);
-//! tails shorter than one vector fall back to the expanded-table path so
-//! odd lengths and unaligned slices cost nothing in correctness. All
-//! loads/stores use the unaligned forms — callers hand us arbitrary
-//! sub-slices.
-//!
-//! Runtime selection: [`available`] reports whether the probe found a
-//! usable instruction set; [`crate::kernels::set_kernel`] refuses to
-//! activate [`crate::kernels::Kernel::Simd`] without it, so a binary
-//! built with `--features simd` still runs (on the table kernels) on a
-//! host without the instructions.
+//! It exposes four `unsafe` entry points (`xor_into`, `gf_axpy`,
+//! `gf_axpy_multi`, `gf_scale`); [`crate::kernels`] calls them only for
+//! [`Kernel::Avx2`](crate::kernels::Kernel::Avx2) after checking
+//! `available()`, which is the safety contract. Tails shorter than one
+//! vector finish through the nibble tables, so every length and every
+//! unaligned sub-slice is byte-identical to the scalar reference (pinned
+//! per kernel by `tests/kernel_differential.rs`). All loads and stores
+//! use the unaligned forms — callers hand us arbitrary sub-slices.
 
 #![allow(unsafe_code)]
 
-use crate::kernels::NibbleTables;
-
-/// The instruction tier the CPU probe selected.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum SimdLevel {
-    /// No usable SIMD tier (or the crate was built without `simd`).
-    None,
-    /// x86_64 SSSE3: 16-lane `PSHUFB`.
-    Ssse3,
-    /// x86_64 AVX2: 32-lane `VPSHUFB`.
-    Avx2,
-    /// x86_64 AVX-512VBMI: 64-lane `VPERMB` nibble lookups.
-    Avx512Vbmi,
-    /// x86_64 GFNI: 32-lane `GF2P8MULB` true-field multiply.
-    Gfni,
-    /// aarch64 NEON: 16-lane `TBL`.
-    Neon,
-}
-
-/// Probe the CPU once and cache the best usable tier.
-pub fn level() -> SimdLevel {
-    use std::sync::OnceLock;
-    static LEVEL: OnceLock<SimdLevel> = OnceLock::new();
-    *LEVEL.get_or_init(probe)
-}
-
-/// Whether a SIMD tier is usable on this host.
-pub fn available() -> bool {
-    level() != SimdLevel::None
-}
-
 #[cfg(target_arch = "x86_64")]
-fn probe() -> SimdLevel {
-    for tier in [
-        SimdLevel::Gfni,
-        SimdLevel::Avx512Vbmi,
-        SimdLevel::Avx2,
-        SimdLevel::Ssse3,
-    ] {
-        if tier_supported(tier) {
-            return tier;
-        }
-    }
-    SimdLevel::None
-}
+pub(crate) use x86::{gf_axpy, gf_axpy_multi, gf_scale, xor_into};
 
-#[cfg(target_arch = "aarch64")]
-fn probe() -> SimdLevel {
-    if std::arch::is_aarch64_feature_detected!("neon") {
-        SimdLevel::Neon
-    } else {
-        SimdLevel::None
-    }
-}
-
-#[cfg(not(any(target_arch = "x86_64", target_arch = "aarch64")))]
-fn probe() -> SimdLevel {
-    SimdLevel::None
-}
-
-/// Whether this host can execute `tier`, independent of which tier the
-/// probe *prefers*. The `*_at` entry points assert this, so differential
-/// tests can exercise every supported tier, not just [`level`]'s pick.
-pub fn tier_supported(tier: SimdLevel) -> bool {
-    match tier {
-        SimdLevel::None => true,
-        #[cfg(target_arch = "x86_64")]
-        SimdLevel::Ssse3 => std::arch::is_x86_feature_detected!("ssse3"),
-        #[cfg(target_arch = "x86_64")]
-        SimdLevel::Avx2 => std::arch::is_x86_feature_detected!("avx2"),
-        #[cfg(target_arch = "x86_64")]
-        SimdLevel::Avx512Vbmi => {
-            std::arch::is_x86_feature_detected!("avx512f")
-                && std::arch::is_x86_feature_detected!("avx512bw")
-                && std::arch::is_x86_feature_detected!("avx512vbmi")
-        }
-        // The GFNI kernels use the VEX-encoded 256-bit forms, which need
-        // AVX2 alongside the GFNI bit (pre-AVX hosts expose only the
-        // legacy-SSE encoding).
-        #[cfg(target_arch = "x86_64")]
-        SimdLevel::Gfni => {
-            std::arch::is_x86_feature_detected!("gfni")
-                && std::arch::is_x86_feature_detected!("avx2")
-        }
-        #[cfg(target_arch = "aarch64")]
-        SimdLevel::Neon => std::arch::is_aarch64_feature_detected!("neon"),
-        _ => false,
-    }
-}
+#[cfg(not(target_arch = "x86_64"))]
+pub(crate) use none::{gf_axpy, gf_axpy_multi, gf_scale, xor_into};
 
 // ---------------------------------------------------------------------------
-// Dispatching entry points (same signatures as the kernels-module pairs)
-// ---------------------------------------------------------------------------
-
-/// SIMD XOR of `src` into `dst`.
-///
-/// # Panics
-/// Panics if the slices differ in length.
-pub fn xor_into_simd(dst: &mut [u8], src: &[u8]) {
-    xor_into_simd_at(level(), dst, src)
-}
-
-/// [`xor_into_simd`] pinned to a specific tier (differential testing).
-///
-/// # Panics
-/// Panics if the slices differ in length or the host cannot execute
-/// `tier` (see [`tier_supported`]).
-pub fn xor_into_simd_at(tier: SimdLevel, dst: &mut [u8], src: &[u8]) {
-    assert_eq!(dst.len(), src.len(), "xor of blocks with unequal lengths");
-    assert!(
-        tier_supported(tier),
-        "tier {tier:?} unsupported on this CPU"
-    );
-    match tier {
-        // GFNI's probe gate includes AVX2, and XOR needs no field math.
-        #[cfg(target_arch = "x86_64")]
-        SimdLevel::Avx2 | SimdLevel::Gfni => unsafe { x86::xor_avx2(dst, src) },
-        #[cfg(target_arch = "x86_64")]
-        SimdLevel::Avx512Vbmi => unsafe { x86::xor_avx512(dst, src) },
-        #[cfg(target_arch = "x86_64")]
-        SimdLevel::Ssse3 => unsafe { x86::xor_sse2(dst, src) },
-        #[cfg(target_arch = "aarch64")]
-        SimdLevel::Neon => unsafe { neon::xor_neon(dst, src) },
-        _ => crate::kernels::xor_into_wide(dst, src),
-    }
-}
-
-/// SIMD `acc ^= coef · src` over GF(2⁸).
-///
-/// # Panics
-/// Panics if the slices differ in length.
-pub fn gf_axpy_simd(acc: &mut [u8], coef: u8, src: &[u8]) {
-    gf_axpy_simd_at(level(), acc, coef, src)
-}
-
-/// [`gf_axpy_simd`] pinned to a specific tier (differential testing).
-///
-/// # Panics
-/// Panics if the slices differ in length or the host cannot execute
-/// `tier` (see [`tier_supported`]).
-pub fn gf_axpy_simd_at(tier: SimdLevel, acc: &mut [u8], coef: u8, src: &[u8]) {
-    assert_eq!(acc.len(), src.len(), "axpy over blocks of unequal lengths");
-    assert!(
-        tier_supported(tier),
-        "tier {tier:?} unsupported on this CPU"
-    );
-    if coef == 0 {
-        return;
-    }
-    if coef == 1 {
-        xor_into_simd_at(tier, acc, src);
-        return;
-    }
-    match tier {
-        #[cfg(target_arch = "x86_64")]
-        SimdLevel::Gfni => unsafe { x86::axpy_gfni(acc, coef, src) },
-        #[cfg(target_arch = "x86_64")]
-        SimdLevel::Avx512Vbmi => unsafe { x86::axpy_vbmi(acc, &NibbleTables::new(coef), src) },
-        #[cfg(target_arch = "x86_64")]
-        SimdLevel::Avx2 => unsafe { x86::axpy_avx2(acc, &NibbleTables::new(coef), src) },
-        #[cfg(target_arch = "x86_64")]
-        SimdLevel::Ssse3 => unsafe { x86::axpy_ssse3(acc, &NibbleTables::new(coef), src) },
-        #[cfg(target_arch = "aarch64")]
-        SimdLevel::Neon => unsafe { neon::axpy_neon(acc, &NibbleTables::new(coef), src) },
-        _ => crate::kernels::gf_axpy_vector(acc, coef, src),
-    }
-}
-
-/// SIMD in-place scale of `block` by field scalar `x`.
-pub fn gf_scale_simd(block: &mut [u8], x: u8) {
-    gf_scale_simd_at(level(), block, x)
-}
-
-/// [`gf_scale_simd`] pinned to a specific tier (differential testing).
-///
-/// # Panics
-/// Panics if the host cannot execute `tier` (see [`tier_supported`]).
-pub fn gf_scale_simd_at(tier: SimdLevel, block: &mut [u8], x: u8) {
-    assert!(
-        tier_supported(tier),
-        "tier {tier:?} unsupported on this CPU"
-    );
-    if x == 1 {
-        return;
-    }
-    if x == 0 {
-        block.fill(0);
-        return;
-    }
-    match tier {
-        #[cfg(target_arch = "x86_64")]
-        SimdLevel::Gfni => unsafe { x86::scale_gfni(block, x) },
-        #[cfg(target_arch = "x86_64")]
-        SimdLevel::Avx512Vbmi => unsafe { x86::scale_vbmi(block, &NibbleTables::new(x)) },
-        #[cfg(target_arch = "x86_64")]
-        SimdLevel::Avx2 => unsafe { x86::scale_avx2(block, &NibbleTables::new(x)) },
-        #[cfg(target_arch = "x86_64")]
-        SimdLevel::Ssse3 => unsafe { x86::scale_ssse3(block, &NibbleTables::new(x)) },
-        #[cfg(target_arch = "aarch64")]
-        SimdLevel::Neon => unsafe { neon::scale_neon(block, &NibbleTables::new(x)) },
-        _ => crate::kernels::gf_scale_vector(block, x),
-    }
-}
-
-/// SIMD fused multiply-accumulate of several sources: `acc ^= Σ coefᵢ·srcᵢ`.
-/// Sources fold in pairs per pass, so the destination round-trips memory
-/// half as often as per-source application — and each pass keeps two
-/// independent shuffle chains in flight.
-///
-/// # Panics
-/// Panics if any source's length differs from `acc`'s.
-pub fn gf_axpy_multi_simd(acc: &mut [u8], srcs: &[(u8, &[u8])]) {
-    gf_axpy_multi_simd_at(level(), acc, srcs)
-}
-
-/// [`gf_axpy_multi_simd`] pinned to a specific tier (differential testing).
-///
-/// # Panics
-/// Panics if any source's length differs from `acc`'s or the host cannot
-/// execute `tier` (see [`tier_supported`]).
-pub fn gf_axpy_multi_simd_at(tier: SimdLevel, acc: &mut [u8], srcs: &[(u8, &[u8])]) {
-    for &(_, src) in srcs {
-        assert_eq!(acc.len(), src.len(), "axpy over blocks of unequal lengths");
-    }
-    assert!(
-        tier_supported(tier),
-        "tier {tier:?} unsupported on this CPU"
-    );
-    let live: Vec<(u8, &[u8])> = srcs.iter().filter(|&&(c, _)| c != 0).copied().collect();
-    let mut pairs = live.chunks_exact(2);
-    for pair in &mut pairs {
-        let (c0, s0) = pair[0];
-        let (c1, s1) = pair[1];
-        match tier {
-            #[cfg(target_arch = "x86_64")]
-            SimdLevel::Gfni => unsafe { x86::axpy2_gfni(acc, c0, s0, c1, s1) },
-            #[cfg(target_arch = "x86_64")]
-            SimdLevel::Avx512Vbmi => unsafe {
-                x86::axpy2_vbmi(acc, &NibbleTables::new(c0), s0, &NibbleTables::new(c1), s1)
-            },
-            #[cfg(target_arch = "x86_64")]
-            SimdLevel::Avx2 => unsafe {
-                x86::axpy2_avx2(acc, &NibbleTables::new(c0), s0, &NibbleTables::new(c1), s1)
-            },
-            _ => {
-                gf_axpy_simd_at(tier, acc, c0, s0);
-                gf_axpy_simd_at(tier, acc, c1, s1);
-            }
-        }
-    }
-    for &(coef, src) in pairs.remainder() {
-        gf_axpy_simd_at(tier, acc, coef, src);
-    }
-}
-
-/// Per-byte tail fallback shared by all tiers: finish `acc[i] ^= c·src[i]`
-/// through the nibble tables.
-#[inline]
-fn axpy_tail(acc: &mut [u8], nt: &NibbleTables, src: &[u8]) {
-    for (a, &s) in acc.iter_mut().zip(src) {
-        *a ^= nt.mul(s);
-    }
-}
-
-#[inline]
-fn scale_tail(block: &mut [u8], nt: &NibbleTables) {
-    for b in block.iter_mut() {
-        *b = nt.mul(*b);
-    }
-}
-
-// ---------------------------------------------------------------------------
-// x86_64: SSSE3 PSHUFB and AVX2 VPSHUFB
+// x86_64: AVX2 VPSHUFB
 // ---------------------------------------------------------------------------
 
 #[cfg(target_arch = "x86_64")]
 mod x86 {
-    use super::{axpy_tail, scale_tail};
     use crate::kernels::NibbleTables;
     use std::arch::x86_64::*;
 
-    /// One 16-lane product: `T_lo[v & 15] ^ T_hi[v >> 4]` via two PSHUFBs.
-    /// Indices are masked to 0..15, so the PSHUFB high-bit-clears-lane
-    /// rule never triggers.
-    #[inline(always)]
-    unsafe fn mul16(v: __m128i, lo_tbl: __m128i, hi_tbl: __m128i, mask: __m128i) -> __m128i {
-        let lo = _mm_and_si128(v, mask);
-        // Byte-wise >>4 does not exist; shift 64-bit lanes and re-mask.
-        let hi = _mm_and_si128(_mm_srli_epi64(v, 4), mask);
-        _mm_xor_si128(_mm_shuffle_epi8(lo_tbl, lo), _mm_shuffle_epi8(hi_tbl, hi))
+    /// Per-byte tail: finish `acc[i] ^= c·src[i]` through the nibble tables.
+    #[inline]
+    fn axpy_tail(acc: &mut [u8], nt: &NibbleTables, src: &[u8]) {
+        for (a, &s) in acc.iter_mut().zip(src) {
+            *a ^= nt.mul(s);
+        }
+    }
+
+    #[inline]
+    fn scale_tail(block: &mut [u8], nt: &NibbleTables) {
+        for b in block.iter_mut() {
+            *b = nt.mul(*b);
+        }
     }
 
     /// One 32-lane product. VPSHUFB shuffles within each 128-bit half, so
     /// broadcasting the 16-entry table to both halves gives the correct
-    /// per-byte lookup across all 32 lanes.
+    /// per-byte lookup across all 32 lanes. Indices are masked to 0..15,
+    /// so the high-bit-clears-lane rule never triggers.
     #[inline(always)]
     unsafe fn mul32(v: __m256i, lo_tbl: __m256i, hi_tbl: __m256i, mask: __m256i) -> __m256i {
         let lo = _mm256_and_si256(v, mask);
+        // Byte-wise >>4 does not exist; shift 64-bit lanes and re-mask.
         let hi = _mm256_and_si256(_mm256_srli_epi64(v, 4), mask);
         _mm256_xor_si256(
             _mm256_shuffle_epi8(lo_tbl, lo),
@@ -357,30 +74,52 @@ mod x86 {
         )
     }
 
-    #[target_feature(enable = "ssse3")]
-    pub unsafe fn axpy_ssse3(acc: &mut [u8], nt: &NibbleTables, src: &[u8]) {
-        let lo_tbl = _mm_loadu_si128(nt.lo.as_ptr() as *const __m128i);
-        let hi_tbl = _mm_loadu_si128(nt.hi.as_ptr() as *const __m128i);
-        let mask = _mm_set1_epi8(0x0F);
-        let n = acc.len() / 16 * 16;
-        let (a, s) = (acc.as_mut_ptr(), src.as_ptr());
-        let mut i = 0;
-        while i < n {
-            let v = _mm_loadu_si128(s.add(i) as *const __m128i);
-            let d = _mm_loadu_si128(a.add(i) as *const __m128i);
-            let p = mul16(v, lo_tbl, hi_tbl, mask);
-            _mm_storeu_si128(a.add(i) as *mut __m128i, _mm_xor_si128(d, p));
-            i += 16;
-        }
-        axpy_tail(&mut acc[n..], nt, &src[n..]);
+    /// Broadcast a 16-entry nibble table to both 128-bit halves.
+    ///
+    /// # Safety
+    /// The CPU must support AVX2 (like [`mul32`], only called from the
+    /// `avx2` kernels below).
+    #[inline(always)]
+    unsafe fn table(t: &[u8; 16]) -> __m256i {
+        _mm256_broadcastsi128_si256(_mm_loadu_si128(t.as_ptr() as *const __m128i))
     }
 
+    /// `dst ^= src`, 64 bytes per iteration.
+    ///
+    /// # Safety
+    /// The CPU must support AVX2; the slices must have equal lengths.
     #[target_feature(enable = "avx2")]
-    pub unsafe fn axpy_avx2(acc: &mut [u8], nt: &NibbleTables, src: &[u8]) {
-        let lo128 = _mm_loadu_si128(nt.lo.as_ptr() as *const __m128i);
-        let hi128 = _mm_loadu_si128(nt.hi.as_ptr() as *const __m128i);
-        let lo_tbl = _mm256_broadcastsi128_si256(lo128);
-        let hi_tbl = _mm256_broadcastsi128_si256(hi128);
+    pub unsafe fn xor_into(dst: &mut [u8], src: &[u8]) {
+        let (d, s) = (dst.as_mut_ptr(), src.as_ptr());
+        let n64 = dst.len() / 64 * 64;
+        let mut i = 0;
+        while i < n64 {
+            let a0 = _mm256_loadu_si256(d.add(i) as *const __m256i);
+            let b0 = _mm256_loadu_si256(s.add(i) as *const __m256i);
+            let a1 = _mm256_loadu_si256(d.add(i + 32) as *const __m256i);
+            let b1 = _mm256_loadu_si256(s.add(i + 32) as *const __m256i);
+            _mm256_storeu_si256(d.add(i) as *mut __m256i, _mm256_xor_si256(a0, b0));
+            _mm256_storeu_si256(d.add(i + 32) as *mut __m256i, _mm256_xor_si256(a1, b1));
+            i += 64;
+        }
+        for (db, sb) in dst[n64..].iter_mut().zip(&src[n64..]) {
+            *db ^= *sb;
+        }
+    }
+
+    /// `acc ^= coef · src` over GF(2⁸).
+    ///
+    /// # Safety
+    /// The CPU must support AVX2; the slices must have equal lengths.
+    #[target_feature(enable = "avx2")]
+    pub unsafe fn gf_axpy(acc: &mut [u8], coef: u8, src: &[u8]) {
+        match coef {
+            0 => return,
+            1 => return xor_into(acc, src),
+            _ => {}
+        }
+        let nt = NibbleTables::new(coef);
+        let (lo_tbl, hi_tbl) = (table(&nt.lo), table(&nt.hi));
         let mask = _mm256_set1_epi8(0x0F);
         let (a, s) = (acc.as_mut_ptr(), src.as_ptr());
         // 64-byte main loop: two independent shuffle chains in flight.
@@ -405,22 +144,36 @@ mod x86 {
             _mm256_storeu_si256(a.add(i) as *mut __m256i, _mm256_xor_si256(d, p));
             i += 32;
         }
-        axpy_tail(&mut acc[n32..], nt, &src[n32..]);
+        axpy_tail(&mut acc[n32..], &nt, &src[n32..]);
     }
 
-    /// Two-source fused AVX2 axpy: one destination round trip per pair.
+    /// `acc ^= Σ coefᵢ · srcᵢ` with every coefficient nonzero. Sources
+    /// fold in pairs per pass, so the destination round-trips memory half
+    /// as often as per-source application, with two independent shuffle
+    /// chains in flight.
+    ///
+    /// # Safety
+    /// The CPU must support AVX2; every source must match `acc`'s length.
     #[target_feature(enable = "avx2")]
-    pub unsafe fn axpy2_avx2(
-        acc: &mut [u8],
-        nt0: &NibbleTables,
-        src0: &[u8],
-        nt1: &NibbleTables,
-        src1: &[u8],
-    ) {
-        let lo0 = _mm256_broadcastsi128_si256(_mm_loadu_si128(nt0.lo.as_ptr() as *const __m128i));
-        let hi0 = _mm256_broadcastsi128_si256(_mm_loadu_si128(nt0.hi.as_ptr() as *const __m128i));
-        let lo1 = _mm256_broadcastsi128_si256(_mm_loadu_si128(nt1.lo.as_ptr() as *const __m128i));
-        let hi1 = _mm256_broadcastsi128_si256(_mm_loadu_si128(nt1.hi.as_ptr() as *const __m128i));
+    pub unsafe fn gf_axpy_multi(acc: &mut [u8], live: &[(u8, &[u8])]) {
+        let mut pairs = live.chunks_exact(2);
+        for pair in &mut pairs {
+            axpy2(acc, pair[0], pair[1]);
+        }
+        for &(coef, src) in pairs.remainder() {
+            gf_axpy(acc, coef, src);
+        }
+    }
+
+    /// Two-source fused axpy: one destination round trip per pair.
+    ///
+    /// # Safety
+    /// The CPU must support AVX2; both sources must match `acc`'s length.
+    #[target_feature(enable = "avx2")]
+    unsafe fn axpy2(acc: &mut [u8], (c0, src0): (u8, &[u8]), (c1, src1): (u8, &[u8])) {
+        let (nt0, nt1) = (NibbleTables::new(c0), NibbleTables::new(c1));
+        let (lo0, hi0) = (table(&nt0.lo), table(&nt0.hi));
+        let (lo1, hi1) = (table(&nt1.lo), table(&nt1.hi));
         let mask = _mm256_set1_epi8(0x0F);
         let n32 = acc.len() / 32 * 32;
         let (a, s0, s1) = (acc.as_mut_ptr(), src0.as_ptr(), src1.as_ptr());
@@ -435,30 +188,23 @@ mod x86 {
             _mm256_storeu_si256(a.add(i) as *mut __m256i, x);
             i += 32;
         }
-        axpy_tail(&mut acc[n32..], nt0, &src0[n32..]);
-        axpy_tail(&mut acc[n32..], nt1, &src1[n32..]);
+        axpy_tail(&mut acc[n32..], &nt0, &src0[n32..]);
+        axpy_tail(&mut acc[n32..], &nt1, &src1[n32..]);
     }
 
-    #[target_feature(enable = "ssse3")]
-    pub unsafe fn scale_ssse3(block: &mut [u8], nt: &NibbleTables) {
-        let lo_tbl = _mm_loadu_si128(nt.lo.as_ptr() as *const __m128i);
-        let hi_tbl = _mm_loadu_si128(nt.hi.as_ptr() as *const __m128i);
-        let mask = _mm_set1_epi8(0x0F);
-        let n = block.len() / 16 * 16;
-        let b = block.as_mut_ptr();
-        let mut i = 0;
-        while i < n {
-            let v = _mm_loadu_si128(b.add(i) as *const __m128i);
-            _mm_storeu_si128(b.add(i) as *mut __m128i, mul16(v, lo_tbl, hi_tbl, mask));
-            i += 16;
-        }
-        scale_tail(&mut block[n..], nt);
-    }
-
+    /// In-place `block = x · block` over GF(2⁸).
+    ///
+    /// # Safety
+    /// The CPU must support AVX2.
     #[target_feature(enable = "avx2")]
-    pub unsafe fn scale_avx2(block: &mut [u8], nt: &NibbleTables) {
-        let lo_tbl = _mm256_broadcastsi128_si256(_mm_loadu_si128(nt.lo.as_ptr() as *const __m128i));
-        let hi_tbl = _mm256_broadcastsi128_si256(_mm_loadu_si128(nt.hi.as_ptr() as *const __m128i));
+    pub unsafe fn gf_scale(block: &mut [u8], x: u8) {
+        match x {
+            0 => return block.fill(0),
+            1 => return,
+            _ => {}
+        }
+        let nt = NibbleTables::new(x);
+        let (lo_tbl, hi_tbl) = (table(&nt.lo), table(&nt.hi));
         let mask = _mm256_set1_epi8(0x0F);
         let n = block.len() / 32 * 32;
         let b = block.as_mut_ptr();
@@ -468,446 +214,27 @@ mod x86 {
             _mm256_storeu_si256(b.add(i) as *mut __m256i, mul32(v, lo_tbl, hi_tbl, mask));
             i += 32;
         }
-        scale_tail(&mut block[n..], nt);
-    }
-
-    /// AVX2 XOR, 64 bytes per iteration.
-    #[target_feature(enable = "avx2")]
-    pub unsafe fn xor_avx2(dst: &mut [u8], src: &[u8]) {
-        let (d, s) = (dst.as_mut_ptr(), src.as_ptr());
-        let n64 = dst.len() / 64 * 64;
-        let mut i = 0;
-        while i < n64 {
-            let a0 = _mm256_loadu_si256(d.add(i) as *const __m256i);
-            let b0 = _mm256_loadu_si256(s.add(i) as *const __m256i);
-            let a1 = _mm256_loadu_si256(d.add(i + 32) as *const __m256i);
-            let b1 = _mm256_loadu_si256(s.add(i + 32) as *const __m256i);
-            _mm256_storeu_si256(d.add(i) as *mut __m256i, _mm256_xor_si256(a0, b0));
-            _mm256_storeu_si256(d.add(i + 32) as *mut __m256i, _mm256_xor_si256(a1, b1));
-            i += 64;
-        }
-        for (db, sb) in dst[n64..].iter_mut().zip(&src[n64..]) {
-            *db ^= *sb;
-        }
-    }
-
-    // -- GFNI: true field multiply ---------------------------------------
-    //
-    // `GF2P8MULB` multiplies byte lanes in GF(2⁸) over x⁸+x⁴+x³+x+1
-    // (0x11B) — exactly this crate's polynomial — so the coefficient
-    // broadcasts into one register and every 32 products cost one
-    // instruction: no nibble tables, no shifts, no masks.
-
-    #[target_feature(enable = "gfni,avx2")]
-    pub unsafe fn axpy_gfni(acc: &mut [u8], coef: u8, src: &[u8]) {
-        let c = _mm256_set1_epi8(coef as i8);
-        let (a, s) = (acc.as_mut_ptr(), src.as_ptr());
-        // 64-byte main loop: two independent multiply chains in flight.
-        let n64 = acc.len() / 64 * 64;
-        let mut i = 0;
-        while i < n64 {
-            let v0 = _mm256_loadu_si256(s.add(i) as *const __m256i);
-            let v1 = _mm256_loadu_si256(s.add(i + 32) as *const __m256i);
-            let d0 = _mm256_loadu_si256(a.add(i) as *const __m256i);
-            let d1 = _mm256_loadu_si256(a.add(i + 32) as *const __m256i);
-            let p0 = _mm256_gf2p8mul_epi8(v0, c);
-            let p1 = _mm256_gf2p8mul_epi8(v1, c);
-            _mm256_storeu_si256(a.add(i) as *mut __m256i, _mm256_xor_si256(d0, p0));
-            _mm256_storeu_si256(a.add(i + 32) as *mut __m256i, _mm256_xor_si256(d1, p1));
-            i += 64;
-        }
-        let n32 = acc.len() / 32 * 32;
-        while i < n32 {
-            let v = _mm256_loadu_si256(s.add(i) as *const __m256i);
-            let d = _mm256_loadu_si256(a.add(i) as *const __m256i);
-            let p = _mm256_gf2p8mul_epi8(v, c);
-            _mm256_storeu_si256(a.add(i) as *mut __m256i, _mm256_xor_si256(d, p));
-            i += 32;
-        }
-        if n32 < acc.len() {
-            // Tables are built only when a sub-vector tail exists.
-            axpy_tail(&mut acc[n32..], &NibbleTables::new(coef), &src[n32..]);
-        }
-    }
-
-    /// Two-source fused GFNI axpy: one destination round trip per pair.
-    #[target_feature(enable = "gfni,avx2")]
-    pub unsafe fn axpy2_gfni(acc: &mut [u8], c0: u8, src0: &[u8], c1: u8, src1: &[u8]) {
-        let cv0 = _mm256_set1_epi8(c0 as i8);
-        let cv1 = _mm256_set1_epi8(c1 as i8);
-        let n32 = acc.len() / 32 * 32;
-        let (a, s0, s1) = (acc.as_mut_ptr(), src0.as_ptr(), src1.as_ptr());
-        let mut i = 0;
-        while i < n32 {
-            let v0 = _mm256_loadu_si256(s0.add(i) as *const __m256i);
-            let v1 = _mm256_loadu_si256(s1.add(i) as *const __m256i);
-            let d = _mm256_loadu_si256(a.add(i) as *const __m256i);
-            let p0 = _mm256_gf2p8mul_epi8(v0, cv0);
-            let p1 = _mm256_gf2p8mul_epi8(v1, cv1);
-            let x = _mm256_xor_si256(d, _mm256_xor_si256(p0, p1));
-            _mm256_storeu_si256(a.add(i) as *mut __m256i, x);
-            i += 32;
-        }
-        if n32 < acc.len() {
-            axpy_tail(&mut acc[n32..], &NibbleTables::new(c0), &src0[n32..]);
-            axpy_tail(&mut acc[n32..], &NibbleTables::new(c1), &src1[n32..]);
-        }
-    }
-
-    #[target_feature(enable = "gfni,avx2")]
-    pub unsafe fn scale_gfni(block: &mut [u8], x: u8) {
-        let c = _mm256_set1_epi8(x as i8);
-        let n = block.len() / 32 * 32;
-        let b = block.as_mut_ptr();
-        let mut i = 0;
-        while i < n {
-            let v = _mm256_loadu_si256(b.add(i) as *const __m256i);
-            _mm256_storeu_si256(b.add(i) as *mut __m256i, _mm256_gf2p8mul_epi8(v, c));
-            i += 32;
-        }
-        if n < block.len() {
-            scale_tail(&mut block[n..], &NibbleTables::new(x));
-        }
-    }
-
-    // -- AVX-512VBMI: 64-lane full-register byte permute -----------------
-    //
-    // `VPERMB` permutes across the whole 512-bit register (only the low 6
-    // index bits matter), so broadcasting each 16-entry nibble table to
-    // all four 128-bit quarters makes `table[idx & 15]` correct for all
-    // 64 lanes in one instruction.
-
-    /// One 64-lane product: `T_lo[v & 15] ^ T_hi[v >> 4]` via two VPERMBs.
-    #[inline(always)]
-    unsafe fn mul64(v: __m512i, lo_tbl: __m512i, hi_tbl: __m512i, mask: __m512i) -> __m512i {
-        let lo = _mm512_and_si512(v, mask);
-        let hi = _mm512_and_si512(_mm512_srli_epi64(v, 4), mask);
-        _mm512_xor_si512(
-            _mm512_permutexvar_epi8(lo, lo_tbl),
-            _mm512_permutexvar_epi8(hi, hi_tbl),
-        )
-    }
-
-    #[target_feature(enable = "avx512f,avx512bw,avx512vbmi")]
-    pub unsafe fn axpy_vbmi(acc: &mut [u8], nt: &NibbleTables, src: &[u8]) {
-        let lo_tbl = _mm512_broadcast_i32x4(_mm_loadu_si128(nt.lo.as_ptr() as *const __m128i));
-        let hi_tbl = _mm512_broadcast_i32x4(_mm_loadu_si128(nt.hi.as_ptr() as *const __m128i));
-        let mask = _mm512_set1_epi8(0x0F);
-        let (a, s) = (acc.as_mut_ptr(), src.as_ptr());
-        // 128-byte main loop: two independent permute chains in flight.
-        let n128 = acc.len() / 128 * 128;
-        let mut i = 0;
-        while i < n128 {
-            let v0 = _mm512_loadu_si512(s.add(i) as *const __m512i);
-            let v1 = _mm512_loadu_si512(s.add(i + 64) as *const __m512i);
-            let d0 = _mm512_loadu_si512(a.add(i) as *const __m512i);
-            let d1 = _mm512_loadu_si512(a.add(i + 64) as *const __m512i);
-            let p0 = mul64(v0, lo_tbl, hi_tbl, mask);
-            let p1 = mul64(v1, lo_tbl, hi_tbl, mask);
-            _mm512_storeu_si512(a.add(i) as *mut __m512i, _mm512_xor_si512(d0, p0));
-            _mm512_storeu_si512(a.add(i + 64) as *mut __m512i, _mm512_xor_si512(d1, p1));
-            i += 128;
-        }
-        let n64 = acc.len() / 64 * 64;
-        while i < n64 {
-            let v = _mm512_loadu_si512(s.add(i) as *const __m512i);
-            let d = _mm512_loadu_si512(a.add(i) as *const __m512i);
-            let p = mul64(v, lo_tbl, hi_tbl, mask);
-            _mm512_storeu_si512(a.add(i) as *mut __m512i, _mm512_xor_si512(d, p));
-            i += 64;
-        }
-        axpy_tail(&mut acc[n64..], nt, &src[n64..]);
-    }
-
-    /// Two-source fused VBMI axpy: one destination round trip per pair.
-    #[target_feature(enable = "avx512f,avx512bw,avx512vbmi")]
-    pub unsafe fn axpy2_vbmi(
-        acc: &mut [u8],
-        nt0: &NibbleTables,
-        src0: &[u8],
-        nt1: &NibbleTables,
-        src1: &[u8],
-    ) {
-        let lo0 = _mm512_broadcast_i32x4(_mm_loadu_si128(nt0.lo.as_ptr() as *const __m128i));
-        let hi0 = _mm512_broadcast_i32x4(_mm_loadu_si128(nt0.hi.as_ptr() as *const __m128i));
-        let lo1 = _mm512_broadcast_i32x4(_mm_loadu_si128(nt1.lo.as_ptr() as *const __m128i));
-        let hi1 = _mm512_broadcast_i32x4(_mm_loadu_si128(nt1.hi.as_ptr() as *const __m128i));
-        let mask = _mm512_set1_epi8(0x0F);
-        let n64 = acc.len() / 64 * 64;
-        let (a, s0, s1) = (acc.as_mut_ptr(), src0.as_ptr(), src1.as_ptr());
-        let mut i = 0;
-        while i < n64 {
-            let v0 = _mm512_loadu_si512(s0.add(i) as *const __m512i);
-            let v1 = _mm512_loadu_si512(s1.add(i) as *const __m512i);
-            let d = _mm512_loadu_si512(a.add(i) as *const __m512i);
-            let p0 = mul64(v0, lo0, hi0, mask);
-            let p1 = mul64(v1, lo1, hi1, mask);
-            let x = _mm512_xor_si512(d, _mm512_xor_si512(p0, p1));
-            _mm512_storeu_si512(a.add(i) as *mut __m512i, x);
-            i += 64;
-        }
-        axpy_tail(&mut acc[n64..], nt0, &src0[n64..]);
-        axpy_tail(&mut acc[n64..], nt1, &src1[n64..]);
-    }
-
-    #[target_feature(enable = "avx512f,avx512bw,avx512vbmi")]
-    pub unsafe fn scale_vbmi(block: &mut [u8], nt: &NibbleTables) {
-        let lo_tbl = _mm512_broadcast_i32x4(_mm_loadu_si128(nt.lo.as_ptr() as *const __m128i));
-        let hi_tbl = _mm512_broadcast_i32x4(_mm_loadu_si128(nt.hi.as_ptr() as *const __m128i));
-        let mask = _mm512_set1_epi8(0x0F);
-        let n = block.len() / 64 * 64;
-        let b = block.as_mut_ptr();
-        let mut i = 0;
-        while i < n {
-            let v = _mm512_loadu_si512(b.add(i) as *const __m512i);
-            _mm512_storeu_si512(b.add(i) as *mut __m512i, mul64(v, lo_tbl, hi_tbl, mask));
-            i += 64;
-        }
-        scale_tail(&mut block[n..], nt);
-    }
-
-    /// AVX-512 XOR, 128 bytes per iteration.
-    #[target_feature(enable = "avx512f")]
-    pub unsafe fn xor_avx512(dst: &mut [u8], src: &[u8]) {
-        let (d, s) = (dst.as_mut_ptr(), src.as_ptr());
-        let n128 = dst.len() / 128 * 128;
-        let mut i = 0;
-        while i < n128 {
-            let a0 = _mm512_loadu_si512(d.add(i) as *const __m512i);
-            let b0 = _mm512_loadu_si512(s.add(i) as *const __m512i);
-            let a1 = _mm512_loadu_si512(d.add(i + 64) as *const __m512i);
-            let b1 = _mm512_loadu_si512(s.add(i + 64) as *const __m512i);
-            _mm512_storeu_si512(d.add(i) as *mut __m512i, _mm512_xor_si512(a0, b0));
-            _mm512_storeu_si512(d.add(i + 64) as *mut __m512i, _mm512_xor_si512(a1, b1));
-            i += 128;
-        }
-        let n64 = dst.len() / 64 * 64;
-        while i < n64 {
-            let a = _mm512_loadu_si512(d.add(i) as *const __m512i);
-            let b = _mm512_loadu_si512(s.add(i) as *const __m512i);
-            _mm512_storeu_si512(d.add(i) as *mut __m512i, _mm512_xor_si512(a, b));
-            i += 64;
-        }
-        for (db, sb) in dst[n64..].iter_mut().zip(&src[n64..]) {
-            *db ^= *sb;
-        }
-    }
-
-    /// SSE2 XOR (SSE2 is x86_64 baseline; used on the SSSE3 tier).
-    pub unsafe fn xor_sse2(dst: &mut [u8], src: &[u8]) {
-        let (d, s) = (dst.as_mut_ptr(), src.as_ptr());
-        let n = dst.len() / 16 * 16;
-        let mut i = 0;
-        while i < n {
-            let a = _mm_loadu_si128(d.add(i) as *const __m128i);
-            let b = _mm_loadu_si128(s.add(i) as *const __m128i);
-            _mm_storeu_si128(d.add(i) as *mut __m128i, _mm_xor_si128(a, b));
-            i += 16;
-        }
-        for (db, sb) in dst[n..].iter_mut().zip(&src[n..]) {
-            *db ^= *sb;
-        }
+        scale_tail(&mut block[n..], &nt);
     }
 }
 
-// ---------------------------------------------------------------------------
-// aarch64: NEON TBL
-// ---------------------------------------------------------------------------
-
-#[cfg(target_arch = "aarch64")]
-mod neon {
-    use super::{axpy_tail, scale_tail};
-    use crate::kernels::NibbleTables;
-    use std::arch::aarch64::*;
-
-    /// One 16-lane product via two `TBL` lookups. `vqtbl1q_u8` zeroes
-    /// lanes whose index is ≥ 16; ours are masked to 0..15.
-    #[inline(always)]
-    unsafe fn mul16(v: uint8x16_t, lo_tbl: uint8x16_t, hi_tbl: uint8x16_t) -> uint8x16_t {
-        let lo = vandq_u8(v, vdupq_n_u8(0x0F));
-        let hi = vshrq_n_u8::<4>(v);
-        veorq_u8(vqtbl1q_u8(lo_tbl, lo), vqtbl1q_u8(hi_tbl, hi))
+/// Not x86_64: [`Kernel::Avx2`](crate::kernels::Kernel::Avx2) is never
+/// `available()`, so the dispatchers never reach these. Each only
+/// panics, so none has a safety requirement; they are `unsafe` to match
+/// the other architectures' signatures.
+#[cfg(not(target_arch = "x86_64"))]
+#[allow(clippy::missing_safety_doc)]
+mod none {
+    pub unsafe fn xor_into(_: &mut [u8], _: &[u8]) {
+        unreachable!("no AVX2 on this architecture")
     }
-
-    #[target_feature(enable = "neon")]
-    pub unsafe fn axpy_neon(acc: &mut [u8], nt: &NibbleTables, src: &[u8]) {
-        let lo_tbl = vld1q_u8(nt.lo.as_ptr());
-        let hi_tbl = vld1q_u8(nt.hi.as_ptr());
-        let n = acc.len() / 16 * 16;
-        let (a, s) = (acc.as_mut_ptr(), src.as_ptr());
-        let mut i = 0;
-        while i < n {
-            let v = vld1q_u8(s.add(i));
-            let d = vld1q_u8(a.add(i));
-            vst1q_u8(a.add(i), veorq_u8(d, mul16(v, lo_tbl, hi_tbl)));
-            i += 16;
-        }
-        axpy_tail(&mut acc[n..], nt, &src[n..]);
+    pub unsafe fn gf_axpy(_: &mut [u8], _: u8, _: &[u8]) {
+        unreachable!("no AVX2 on this architecture")
     }
-
-    #[target_feature(enable = "neon")]
-    pub unsafe fn scale_neon(block: &mut [u8], nt: &NibbleTables) {
-        let lo_tbl = vld1q_u8(nt.lo.as_ptr());
-        let hi_tbl = vld1q_u8(nt.hi.as_ptr());
-        let n = block.len() / 16 * 16;
-        let b = block.as_mut_ptr();
-        let mut i = 0;
-        while i < n {
-            let v = vld1q_u8(b.add(i));
-            vst1q_u8(b.add(i), mul16(v, lo_tbl, hi_tbl));
-            i += 16;
-        }
-        scale_tail(&mut block[n..], nt);
+    pub unsafe fn gf_axpy_multi(_: &mut [u8], _: &[(u8, &[u8])]) {
+        unreachable!("no AVX2 on this architecture")
     }
-
-    #[target_feature(enable = "neon")]
-    pub unsafe fn xor_neon(dst: &mut [u8], src: &[u8]) {
-        let (d, s) = (dst.as_mut_ptr(), src.as_ptr());
-        let n = dst.len() / 16 * 16;
-        let mut i = 0;
-        while i < n {
-            let a = vld1q_u8(d.add(i));
-            let b = vld1q_u8(s.add(i));
-            vst1q_u8(d.add(i), veorq_u8(a, b));
-            i += 16;
-        }
-        for (db, sb) in dst[n..].iter_mut().zip(&src[n..]) {
-            *db ^= *sb;
-        }
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-    use crate::kernels::{gf_axpy_scalar, gf_scale_scalar, xor_into_scalar};
-
-    #[test]
-    fn probe_is_stable() {
-        assert_eq!(level(), level());
-    }
-
-    #[test]
-    fn probe_pick_is_supported() {
-        assert!(tier_supported(level()));
-    }
-
-    /// Every tier the host can execute — not just the probe's pick —
-    /// matches the scalar reference through the pinned entry points.
-    #[test]
-    fn every_supported_tier_matches_scalar() {
-        let tiers = [
-            SimdLevel::Ssse3,
-            SimdLevel::Avx2,
-            SimdLevel::Avx512Vbmi,
-            SimdLevel::Gfni,
-            SimdLevel::Neon,
-        ];
-        for tier in tiers.into_iter().filter(|&t| tier_supported(t)) {
-            for len in [0usize, 1, 15, 31, 33, 63, 65, 127, 129, 257] {
-                let src: Vec<u8> = (0..len).map(|i| (i * 37 + 11) as u8).collect();
-                let init: Vec<u8> = (0..len).map(|i| (i * 7 + 3) as u8).collect();
-                for coef in [0u8, 1, 2, 0x1D, 0x80, 0xFF] {
-                    let mut a = init.clone();
-                    let mut b = init.clone();
-                    gf_axpy_simd_at(tier, &mut a, coef, &src);
-                    gf_axpy_scalar(&mut b, coef, &src);
-                    assert_eq!(a, b, "axpy {tier:?} len={len} coef={coef}");
-
-                    let mut a = init.clone();
-                    let mut b = init.clone();
-                    gf_scale_simd_at(tier, &mut a, coef);
-                    gf_scale_scalar(&mut b, coef);
-                    assert_eq!(a, b, "scale {tier:?} len={len} x={coef}");
-                }
-                let mut a = init.clone();
-                let mut b = init.clone();
-                xor_into_simd_at(tier, &mut a, &src);
-                xor_into_scalar(&mut b, &src);
-                assert_eq!(a, b, "xor {tier:?} len={len}");
-
-                let srcs_owned: Vec<(u8, Vec<u8>)> = (0..5u8)
-                    .map(|t| {
-                        (
-                            t.wrapping_mul(0x3B),
-                            (0..len).map(|i| (i as u8).wrapping_mul(t + 3)).collect(),
-                        )
-                    })
-                    .collect();
-                let srcs: Vec<(u8, &[u8])> =
-                    srcs_owned.iter().map(|(c, s)| (*c, s.as_slice())).collect();
-                let mut a = init.clone();
-                let mut b = init.clone();
-                gf_axpy_multi_simd_at(tier, &mut a, &srcs);
-                for &(c, s) in &srcs {
-                    gf_axpy_scalar(&mut b, c, s);
-                }
-                assert_eq!(a, b, "multi {tier:?} len={len}");
-            }
-        }
-    }
-
-    #[test]
-    fn simd_axpy_matches_scalar_when_available() {
-        if !available() {
-            return;
-        }
-        for len in [0usize, 1, 15, 16, 17, 31, 32, 33, 63, 64, 65, 100, 257] {
-            let src: Vec<u8> = (0..len).map(|i| (i * 37 + 11) as u8).collect();
-            for coef in [0u8, 1, 2, 0x1D, 0x80, 0xFF] {
-                let mut a: Vec<u8> = (0..len).map(|i| (i * 7 + 3) as u8).collect();
-                let mut b = a.clone();
-                gf_axpy_simd(&mut a, coef, &src);
-                gf_axpy_scalar(&mut b, coef, &src);
-                assert_eq!(a, b, "len={len} coef={coef}");
-            }
-        }
-    }
-
-    #[test]
-    fn simd_scale_and_xor_match_scalar_when_available() {
-        if !available() {
-            return;
-        }
-        for len in [0usize, 7, 16, 33, 64, 129] {
-            let init: Vec<u8> = (0..len).map(|i| (i * 29 + 1) as u8).collect();
-            for x in [0u8, 1, 2, 0x35, 0xFE] {
-                let mut a = init.clone();
-                let mut b = init.clone();
-                gf_scale_simd(&mut a, x);
-                gf_scale_scalar(&mut b, x);
-                assert_eq!(a, b, "scale len={len} x={x}");
-            }
-            let src: Vec<u8> = (0..len).map(|i| (i * 13 + 5) as u8).collect();
-            let mut a = init.clone();
-            let mut b = init.clone();
-            xor_into_simd(&mut a, &src);
-            xor_into_scalar(&mut b, &src);
-            assert_eq!(a, b, "xor len={len}");
-        }
-    }
-
-    #[test]
-    fn simd_multi_matches_per_source() {
-        if !available() {
-            return;
-        }
-        let len = 97;
-        let srcs_owned: Vec<(u8, Vec<u8>)> = (0..5u8)
-            .map(|t| {
-                (
-                    t.wrapping_mul(0x3B),
-                    (0..len).map(|i| (i as u8).wrapping_mul(t + 3)).collect(),
-                )
-            })
-            .collect();
-        let srcs: Vec<(u8, &[u8])> = srcs_owned.iter().map(|(c, s)| (*c, s.as_slice())).collect();
-        let mut a = vec![0x5Au8; len];
-        let mut b = a.clone();
-        gf_axpy_multi_simd(&mut a, &srcs);
-        for &(c, s) in &srcs {
-            gf_axpy_scalar(&mut b, c, s);
-        }
-        assert_eq!(a, b);
+    pub unsafe fn gf_scale(_: &mut [u8], _: u8) {
+        unreachable!("no AVX2 on this architecture")
     }
 }
